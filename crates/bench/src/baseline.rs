@@ -2,12 +2,13 @@
 //! of what the serving bench *used to* measure, and the comparison that
 //! turns `BENCH_*.json` artifacts from publish-and-forget into a ratchet.
 //!
-//! A [`BaselineStore`] mirrors the `PlanStore` persistence contract — a
+//! A [`BaselineStore`] is a [`Snapshot`] like the plan store — a
 //! versioned JSON document stamped with the machine model's timing
-//! fingerprint, loaded through [`BaselineStore::load_checked`] which
-//! warns and discards on a fingerprint mismatch — and holds two sorted
-//! maps: per-shape simulated cycles (one entry per serving-trace shape)
-//! and serving-bench summary metrics (makespans, hit rates).
+//! fingerprint, loaded through the one snapshot loader
+//! ([`sme_runtime::load_snapshot`]), which warns and discards on a
+//! fingerprint mismatch — and holds two sorted maps: per-shape simulated
+//! cycles (one entry per serving-trace shape) and serving-bench summary
+//! metrics (makespans, hit rates).
 //!
 //! [`BaselineStore::compare`] checks a current run against the stored
 //! baseline with direction-aware per-metric tolerances: cycle-like
@@ -22,7 +23,7 @@
 
 use serde::json::Value;
 use sme_machine::MachineConfig;
-use sme_runtime::FingerprintCheck;
+use sme_runtime::{Snapshot, SnapshotError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -38,32 +39,6 @@ pub const REL_TOLERANCE: f64 = 0.10;
 /// Absolute drop tolerance for lower-is-worse metrics (names containing
 /// `hit_rate`, which live on a 0..=1 scale).
 pub const HIT_RATE_TOLERANCE: f64 = 0.02;
-
-/// Errors reported while loading, parsing or writing a baseline file.
-#[derive(Debug)]
-pub enum BaselineError {
-    /// The file could not be read or written.
-    Io(std::io::Error),
-    /// The document is not valid JSON or not a valid baseline.
-    Format(String),
-}
-
-impl fmt::Display for BaselineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BaselineError::Io(e) => write!(f, "baseline I/O error: {e}"),
-            BaselineError::Format(msg) => write!(f, "baseline format error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for BaselineError {}
-
-impl From<std::io::Error> for BaselineError {
-    fn from(e: std::io::Error) -> Self {
-        BaselineError::Io(e)
-    }
-}
 
 /// One metric that moved past its tolerance.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,29 +96,9 @@ impl BaselineStore {
 
     /// An empty baseline stamped with `machine`'s timing fingerprint.
     pub fn for_machine(machine: &MachineConfig) -> Self {
-        let mut store = BaselineStore::new();
-        store.stamp(machine);
-        store
-    }
-
-    /// Stamp the baseline with `machine`'s timing fingerprint.
-    pub fn stamp(&mut self, machine: &MachineConfig) {
-        self.machine_fingerprint = Some(machine.fingerprint());
-    }
-
-    /// The recorded machine fingerprint, if the baseline is stamped.
-    pub fn machine_fingerprint(&self) -> Option<u64> {
-        self.machine_fingerprint
-    }
-
-    /// Compare the baseline's fingerprint against `machine`'s current
-    /// timing parameters (same verdicts as `PlanStore::fingerprint_check`).
-    pub fn fingerprint_check(&self, machine: &MachineConfig) -> FingerprintCheck {
-        let current = machine.fingerprint();
-        match self.machine_fingerprint {
-            None => FingerprintCheck::Unstamped,
-            Some(stored) if stored == current => FingerprintCheck::Match,
-            Some(stored) => FingerprintCheck::Mismatch { stored, current },
+        BaselineStore {
+            machine_fingerprint: Some(machine.fingerprint()),
+            ..BaselineStore::default()
         }
     }
 
@@ -267,49 +222,37 @@ impl BaselineStore {
     }
 
     /// Parse a document produced by [`BaselineStore::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, BaselineError> {
-        let doc: Value =
-            serde_json::from_str(text).map_err(|e| BaselineError::Format(format!("{e}")))?;
-        match doc.get("version").and_then(Value::as_u64) {
-            Some(BASELINE_VERSION) => {}
-            Some(other) => {
-                return Err(BaselineError::Format(format!(
-                    "unsupported baseline version {other} (expected {BASELINE_VERSION})"
-                )))
-            }
-            None => {
-                return Err(BaselineError::Format(
-                    "missing or non-numeric \"version\" field".into(),
-                ))
-            }
-        }
-        let machine_fingerprint = match doc.get("machine_fingerprint") {
-            None => None,
-            Some(value) => {
-                let text = value.as_str().ok_or_else(|| {
-                    BaselineError::Format("\"machine_fingerprint\" must be a hex string".into())
-                })?;
-                Some(u64::from_str_radix(text, 16).map_err(|e| {
-                    BaselineError::Format(format!("bad machine_fingerprint {text:?}: {e}"))
-                })?)
-            }
-        };
-        let parse_map = |key: &str| -> Result<BTreeMap<String, f64>, BaselineError> {
+    pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
+        sme_runtime::parse_snapshot(text)
+    }
+
+    /// Write the baseline to `path` — atomically (temp + fsync + rename),
+    /// with a checksum trailer, keeping the previous generation at
+    /// `<path>.bak` (see [`sme_runtime::save_snapshot`]).
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
+        sme_runtime::save_snapshot(path.as_ref(), &self.to_json())
+    }
+}
+
+impl Snapshot for BaselineStore {
+    const KIND: &'static str = "baseline";
+    const VERSION: u64 = BASELINE_VERSION;
+
+    fn decode(doc: &Value, machine_fingerprint: Option<u64>) -> Result<Self, String> {
+        let parse_map = |key: &str| -> Result<BTreeMap<String, f64>, String> {
             let mut map = BTreeMap::new();
             let Some(section) = doc.get(key) else {
-                return Err(BaselineError::Format(format!("missing \"{key}\" section")));
+                return Err(format!("missing \"{key}\" section"));
             };
-            let entries = section.as_object().ok_or_else(|| {
-                BaselineError::Format(format!("\"{key}\" must be an object of numbers"))
-            })?;
+            let entries = section
+                .as_object()
+                .ok_or_else(|| format!("\"{key}\" must be an object of numbers"))?;
             for (name, value) in entries {
-                let value = value.as_f64().ok_or_else(|| {
-                    BaselineError::Format(format!("\"{key}\".\"{name}\" must be a number"))
-                })?;
+                let value = value
+                    .as_f64()
+                    .ok_or_else(|| format!("\"{key}\".\"{name}\" must be a number"))?;
                 if !value.is_finite() {
-                    return Err(BaselineError::Format(format!(
-                        "\"{key}\".\"{name}\" must be finite"
-                    )));
+                    return Err(format!("\"{key}\".\"{name}\" must be finite"));
                 }
                 map.insert(name.clone(), value);
             }
@@ -322,72 +265,16 @@ impl BaselineStore {
         })
     }
 
-    /// Write the baseline to `path` — atomically (temp + fsync + rename),
-    /// with a checksum trailer, keeping the previous generation at
-    /// `<path>.bak` (see [`sme_runtime::save_snapshot`]).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), BaselineError> {
-        sme_runtime::save_snapshot(path.as_ref(), &self.to_json())?;
-        Ok(())
+    fn empty_for(machine: &MachineConfig) -> Self {
+        BaselineStore::for_machine(machine)
     }
 
-    /// Load a baseline from `path`. The checksum trailer is verified when
-    /// present; trailer-less legacy documents (including the committed
-    /// `BENCH_baseline.json`) still load.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, BaselineError> {
-        match sme_runtime::read_snapshot(path.as_ref()) {
-            Ok(text) => BaselineStore::from_json(&text),
-            Err(sme_runtime::SnapshotError::Io(e)) => Err(BaselineError::Io(e)),
-            Err(sme_runtime::SnapshotError::Corrupt(msg)) => Err(BaselineError::Format(msg)),
-        }
+    fn machine_fingerprint(&self) -> Option<u64> {
+        self.machine_fingerprint
     }
 
-    /// Load a baseline and validate it against `machine`'s fingerprint.
-    /// On mismatch the stale baseline is **discarded** — the returned
-    /// store is empty but stamped for `machine` (so a subsequent compare
-    /// passes vacuously: runs on different timing models are not
-    /// comparable) — and a warning naming both fingerprints is printed to
-    /// stderr, mirroring `PlanStore::load_checked`.
-    ///
-    /// *Corruption* is handled differently from staleness: if the primary
-    /// document is unreadable, fails its checksum trailer, or does not
-    /// parse, the `.bak` previous generation (kept by every
-    /// [`BaselineStore::save`]) is tried before giving up, and the
-    /// original error is returned only when both generations are bad.
-    pub fn load_checked(
-        path: impl AsRef<Path>,
-        machine: &MachineConfig,
-    ) -> Result<(Self, FingerprintCheck), BaselineError> {
-        let path = path.as_ref();
-        let store = match BaselineStore::load(path) {
-            Ok(store) => store,
-            Err(BaselineError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(BaselineError::Io(e));
-            }
-            Err(primary) => match BaselineStore::load(sme_runtime::backup_path(path)) {
-                Ok(previous) => {
-                    eprintln!(
-                        "warning: baseline {} is corrupt ({primary}); recovered \
-                         {} entr(y/ies) from the previous generation",
-                        path.display(),
-                        previous.len()
-                    );
-                    previous
-                }
-                Err(_) => return Err(primary),
-            },
-        };
-        let check = store.fingerprint_check(machine);
-        if let FingerprintCheck::Mismatch { stored, current } = check {
-            eprintln!(
-                "warning: baseline {} was recorded for machine fingerprint \
-                 {stored:016x} but the current model is {current:016x}; \
-                 discarding its {} entr(y/ies) — re-record with --write-baseline",
-                path.display(),
-                store.len()
-            );
-            return Ok((BaselineStore::for_machine(machine), check));
-        }
-        Ok((store, check))
+    fn entry_count(&self) -> usize {
+        self.len()
     }
 }
 
@@ -423,7 +310,7 @@ mod tests {
     #[test]
     fn malformed_documents_are_rejected_with_context() {
         let cases: Vec<(&str, &str)> = vec![
-            ("not json", "baseline format error"),
+            ("not json", "invalid JSON"),
             ("{}", "version"),
             ("{\"version\": 99}", "unsupported baseline version 99"),
             (
@@ -446,7 +333,7 @@ mod tests {
             (
                 "{\"version\": 1, \"machine_fingerprint\": \"xyz!\", \
                  \"metrics\": {}, \"shape_cycles\": {}}",
-                "bad machine_fingerprint",
+                "invalid machine fingerprint",
             ),
         ];
         for (doc, needle) in cases {
@@ -520,34 +407,8 @@ mod tests {
         let report = baseline.compare(&sparse);
         assert!(report.passed());
         assert_eq!(report.compared, 1);
-    }
-
-    #[test]
-    fn load_checked_discards_stale_baselines() {
-        let dir = std::env::temp_dir().join(format!("sme_baseline_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        sample().save(&path).unwrap();
-
-        // Same machine: the baseline loads intact.
-        let machine = MachineConfig::apple_m4();
-        let (loaded, check) = BaselineStore::load_checked(&path, &machine).unwrap();
-        assert_eq!(check, FingerprintCheck::Match);
-        assert_eq!(loaded.len(), 3);
-
-        // A recalibrated machine: warn, discard, return empty-but-stamped.
-        let mut recalibrated = MachineConfig::apple_m4();
-        recalibrated.p_core.clock_ghz = 4.0;
-        let (loaded, check) = BaselineStore::load_checked(&path, &recalibrated).unwrap();
-        assert!(matches!(check, FingerprintCheck::Mismatch { .. }));
-        assert!(loaded.is_empty());
-        assert_eq!(
-            loaded.machine_fingerprint(),
-            Some(recalibrated.fingerprint())
-        );
-        // A vacuous compare passes: different models are not comparable.
-        assert!(loaded.compare(&sample()).passed());
-
-        std::fs::remove_dir_all(&dir).unwrap();
+        // An empty baseline (what a discarded stale one loads as) passes
+        // vacuously: runs on different timing models are not comparable.
+        assert!(BaselineStore::new().compare(&baseline).passed());
     }
 }

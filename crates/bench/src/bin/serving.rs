@@ -25,6 +25,7 @@ use sme_bench::{
     chaos_run, maybe_write_json, render_chaos_report, render_serving_trace, serving_baseline,
     serving_run, BaselineStore, ServingTraceOptions,
 };
+use sme_runtime::SnapshotSource;
 
 fn main() {
     let opts = ServingTraceOptions::parse_or_exit(std::env::args().skip(1));
@@ -154,23 +155,22 @@ fn main() {
     }
     if let Some(path) = &opts.check_baseline {
         let machine = sme_machine::MachineConfig::apple_m4();
-        match BaselineStore::load_checked(path, &machine) {
-            Ok((baseline, _check)) => {
-                let report = baseline.compare(&serving_baseline(trace));
-                if report.passed() {
-                    println!(
-                        "baseline: {} metric(s) within tolerance of {path}",
-                        report.compared
-                    );
-                } else {
-                    for regression in &report.regressions {
-                        eprintln!("error: baseline regression: {regression}");
-                    }
-                    failed = true;
+        let loaded = sme_runtime::load_snapshot::<BaselineStore>(path.as_ref(), &machine);
+        if let SnapshotSource::Missing | SnapshotSource::Empty = loaded.source {
+            let why = loaded.detail.unwrap_or_else(|| format!("{path} missing"));
+            eprintln!("error: could not load baseline {path}: {why}");
+            failed = true;
+        } else {
+            let report = loaded.value.compare(&serving_baseline(trace));
+            if report.passed() {
+                println!(
+                    "baseline: {} metric(s) within tolerance of {path}",
+                    report.compared
+                );
+            } else {
+                for regression in &report.regressions {
+                    eprintln!("error: baseline regression: {regression}");
                 }
-            }
-            Err(e) => {
-                eprintln!("error: could not load baseline {path}: {e}");
                 failed = true;
             }
         }

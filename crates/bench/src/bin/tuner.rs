@@ -3,7 +3,7 @@
 //! model, and report the winner against the default heterogeneous kernel.
 //!
 //! `--store PATH` persists the winners as a plan-store JSON document that
-//! `sme_runtime::PlanStore::load_checked` (and thus a `KernelCache`) can
+//! `sme_runtime::PlanStore::load_recovered` (and thus a `KernelCache`) can
 //! consume — stamped with the machine model's timing fingerprint, so a
 //! later process re-tunes instead of dispatching winners from a stale
 //! calibration; `--smoke` runs the tiny CI preset; `--quick` restricts the

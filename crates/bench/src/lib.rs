@@ -16,8 +16,8 @@ pub mod baseline;
 pub mod chaos;
 
 pub use baseline::{
-    BaselineCheckReport, BaselineError, BaselineStore, MetricRegression, BASELINE_VERSION,
-    HIT_RATE_TOLERANCE, REL_TOLERANCE,
+    BaselineCheckReport, BaselineStore, MetricRegression, BASELINE_VERSION, HIT_RATE_TOLERANCE,
+    REL_TOLERANCE,
 };
 pub use chaos::{chaos_run, render_chaos_report, ChaosFaultRecord, ChaosReport, ChaosRun};
 
@@ -2063,9 +2063,9 @@ mod tests {
         let path = dir.join("baseline.json");
         baseline.save(&path).unwrap();
         let machine = sme_machine::MachineConfig::apple_m4();
-        let (reloaded, check) = BaselineStore::load_checked(&path, &machine).unwrap();
-        assert_eq!(check, sme_runtime::FingerprintCheck::Match);
-        assert_eq!(reloaded, baseline);
+        let reloaded = sme_runtime::load_snapshot::<BaselineStore>(&path, &machine);
+        assert_eq!(reloaded.check, sme_runtime::FingerprintCheck::Match);
+        assert_eq!(reloaded.value, baseline);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

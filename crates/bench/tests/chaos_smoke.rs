@@ -36,6 +36,9 @@ fn chaos_smoke_trace_completes_bit_correct() {
         report.plans_recovered > 0 && report.plan_restore_source.as_deref() == Some("backup"),
         "restart must restore tuned plans from the previous generation: {report:?}"
     );
+    // The injected telemetry read fault fires at the restart, not at the
+    // first restore, where no snapshot exists yet.
+    assert_eq!(report.telemetry_restore_source.as_deref(), Some("backup"));
     assert!(report.tick_failures > 0, "daemon faults never fired");
     assert!(report.passed, "overall verdict failed: {report:?}");
 }

@@ -1,40 +1,36 @@
-//! Crash-safety fuzz for every snapshot loader in the workspace: the plan
-//! store (document versions 1–4), the telemetry snapshot, the perf
-//! baseline, and the postmortem bundle. Random truncation, bit flips,
-//! spliced garbage and outright non-JSON bytes must surface as `Err` (or a
-//! recovered/empty store) — never as a panic. A corrupt file on disk may
-//! cost tuned state; it must not take down the process that finds it.
+//! Crash-safety fuzz for the snapshot loader: the plan store, the
+//! telemetry snapshot and the perf baseline all read through
+//! `sme_runtime::load_snapshot`, and the postmortem bundle through the
+//! verifying reader. Random truncation, bit flips, spliced garbage and
+//! outright non-JSON bytes must come back as a recovered or empty value —
+//! never as a panic. A corrupt file on disk may cost tuned state; it must
+//! not take down the process that finds it.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sme_bench::BaselineStore;
-use sme_gemm::{Backend, GemmConfig};
+use sme_gemm::{Backend, GemmConfig, PlanCandidate};
 use sme_machine::MachineConfig;
 use sme_router::TelemetryRegistry;
-use sme_runtime::PlanStore;
+use sme_runtime::{load_snapshot, PlanStore, Recovered, Snapshot, TunedRecord};
 use std::path::PathBuf;
 
-/// Hand-written documents for the three legacy plan-store formats (v1 has
-/// no backend field, v2 no dtype, v3 no schedule), plus the current v4
-/// produced by round-tripping v2 through the store itself.
-fn plan_docs() -> Vec<String> {
-    let v1 = r#"{"version": 1, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
-        "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-        "plan": "Homogeneous16x64", "c_transfer": "Direct",
-        "k_unroll": 2, "tuned_cycles": 100, "default_cycles": 150}]}"#;
+/// The current v4 document, and a v2 one from before the dtype and
+/// schedule tags, which the loader discards whole.
+fn plan_docs() -> [String; 2] {
+    let mut store = PlanStore::for_machine(&MachineConfig::apple_m4());
+    let cfg = GemmConfig::abt(48, 48, 16);
+    let record = TunedRecord {
+        candidate: PlanCandidate::default_for(&cfg),
+        tuned_cycles: 100.0,
+        default_cycles: 150.0,
+    };
+    store.insert(&cfg, record);
     let v2 = r#"{"version": 2, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
         "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
         "backend": "Sme", "plan": "Homogeneous16x64", "c_transfer": "Direct",
         "k_unroll": 2, "tuned_cycles": 100, "default_cycles": 150}]}"#;
-    let v3 = r#"{"version": 3, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
-        "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-        "dtype": "Fp32", "backend": "Sme", "plan": "Homogeneous16x64",
-        "c_transfer": "Direct", "k_unroll": 2, "tuned_cycles": 100,
-        "default_cycles": 150}]}"#;
-    let v4 = PlanStore::from_json(v2)
-        .expect("v2 fixture parses")
-        .to_json();
-    vec![v1.to_string(), v2.to_string(), v3.to_string(), v4]
+    [store.to_json(), v2.to_string()]
 }
 
 fn telemetry_doc() -> String {
@@ -118,36 +114,29 @@ fn write_damaged(name: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
+fn load_damaged<T: Snapshot>(name: &str, doc: &str, damage: &Damage) -> Recovered<T> {
+    let path = write_damaged(name, &apply(doc, damage));
+    load_snapshot(&path, &MachineConfig::apple_m4())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn plan_store_loaders_never_panic(pick in 0usize..4, damage in damage_strategy()) {
-        let docs = plan_docs();
-        let bytes = apply(&docs[pick], &damage);
-        let path = write_damaged("plans.json", &bytes);
-        let machine = MachineConfig::apple_m4();
-        let _ = PlanStore::load(&path);
-        let _ = PlanStore::load_checked(&path, &machine);
-        let _ = PlanStore::load_recovered(&path, &machine);
+    fn plan_store_loaders_never_panic(pick in 0usize..2, damage in damage_strategy()) {
+        let recovered = load_damaged::<PlanStore>("plans.json", &plan_docs()[pick], &damage);
+        // The v2 document comes back as an empty store, whatever the damage.
+        prop_assert!(pick == 0 || recovered.value.is_empty());
     }
 
     #[test]
     fn telemetry_loaders_never_panic(damage in damage_strategy()) {
-        let bytes = apply(&telemetry_doc(), &damage);
-        let path = write_damaged("telemetry.json", &bytes);
-        let machine = MachineConfig::apple_m4();
-        let _ = TelemetryRegistry::load(&path);
-        let _ = TelemetryRegistry::load_checked(&path, &machine);
-        let _ = TelemetryRegistry::load_recovered(&path, &machine);
+        load_damaged::<TelemetryRegistry>("telemetry.json", &telemetry_doc(), &damage);
     }
 
     #[test]
     fn baseline_loaders_never_panic(damage in damage_strategy()) {
-        let bytes = apply(&baseline_doc(), &damage);
-        let path = write_damaged("baseline.json", &bytes);
-        let _ = BaselineStore::load(&path);
-        let _ = BaselineStore::load_checked(&path, &MachineConfig::apple_m4());
+        load_damaged::<BaselineStore>("baseline.json", &baseline_doc(), &damage);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   halves of the learned state — the telemetry snapshot and the plan
 //!   store — to their configured paths;
 //! * [`PretuneDaemon::restore`] is the restart half: load both files
-//!   back (each validated against the machine fingerprint, stale state
-//!   warn-and-discarded), absorb the telemetry into the router's registry
-//!   and the plans into its cache, so the very first tick of a new
-//!   process already knows yesterday's hot shapes;
+//!   back through the one snapshot loader (each validated against the
+//!   machine fingerprint, stale state warn-and-discarded), absorb the
+//!   telemetry into the router's registry and the plans into its cache,
+//!   so the very first tick of a new process already knows yesterday's
+//!   hot shapes;
 //! * [`PretuneDaemon::spawn`] runs the tick loop on a background thread
 //!   at a fixed interval, stoppable via the returned handle — the
 //!   "background" in background pretuner.
@@ -26,10 +27,10 @@
 //! across a simulated restart.
 
 use crate::router::Router;
-use crate::telemetry::{TelemetryError, TelemetryRegistry};
+use crate::telemetry::TelemetryRegistry;
 use sme_gemm::AnyGemmConfig;
 use sme_runtime::fault::{self, FaultKind};
-use sme_runtime::{FingerprintCheck, PlanStore, PlanStoreError, SnapshotSource, TunerOptions};
+use sme_runtime::{FingerprintCheck, PlanStore, SnapshotError, SnapshotSource, TunerOptions};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,10 +67,8 @@ impl PretuneDaemonConfig {
 /// Errors from a daemon tick or restore.
 #[derive(Debug)]
 pub enum DaemonError {
-    /// Persisting or restoring the telemetry snapshot failed.
-    Telemetry(TelemetryError),
-    /// Persisting or restoring the plan store failed.
-    Store(PlanStoreError),
+    /// Persisting the telemetry snapshot or the plan store failed.
+    Snapshot(SnapshotError),
     /// Tuning a hot shape failed (the shape's configuration is invalid).
     Tune(sme_gemm::GemmError),
     /// A deterministically injected tick failure (chaos testing — see
@@ -80,8 +79,7 @@ pub enum DaemonError {
 impl fmt::Display for DaemonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DaemonError::Telemetry(e) => write!(f, "pretune daemon telemetry error: {e}"),
-            DaemonError::Store(e) => write!(f, "pretune daemon plan store error: {e}"),
+            DaemonError::Snapshot(e) => write!(f, "pretune daemon snapshot error: {e}"),
             DaemonError::Tune(e) => write!(f, "pretune daemon tuning error: {e}"),
             DaemonError::Fault(site) => write!(f, "injected daemon fault at {site}"),
         }
@@ -90,15 +88,9 @@ impl fmt::Display for DaemonError {
 
 impl std::error::Error for DaemonError {}
 
-impl From<TelemetryError> for DaemonError {
-    fn from(e: TelemetryError) -> Self {
-        DaemonError::Telemetry(e)
-    }
-}
-
-impl From<PlanStoreError> for DaemonError {
-    fn from(e: PlanStoreError) -> Self {
-        DaemonError::Store(e)
+impl From<SnapshotError> for DaemonError {
+    fn from(e: SnapshotError) -> Self {
+        DaemonError::Snapshot(e)
     }
 }
 
@@ -141,8 +133,8 @@ pub struct RestoreReport {
     /// Fingerprint verdict of the telemetry snapshot, if one existed.
     pub telemetry_check: Option<FingerprintCheck>,
     /// Which on-disk generation the telemetry snapshot was served from
-    /// (`Backup` = the primary was corrupt and `<path>.bak` recovered it;
-    /// `None` = the file did not exist, a fresh start).
+    /// (`Backup` = the primary was corrupt or missing and `<path>.bak`
+    /// recovered it; `None` = neither generation existed, a fresh start).
     pub telemetry_source: Option<SnapshotSource>,
     /// Tuned winners recovered into the plan store (0 when the store file
     /// was missing or stale).
@@ -275,18 +267,17 @@ impl PretuneDaemon {
     }
 
     /// Restore persisted state into `router`: the telemetry snapshot into
-    /// its registry and the plan store into its cache, each validated
-    /// against the router's machine fingerprint (stale files warn and are
-    /// discarded, exactly like `PlanStore::load_checked`). Missing files
-    /// are a fresh start, not an error — the daemon is restartable from
-    /// nothing.
+    /// its registry and the plan store into its cache.
     ///
-    /// Each file loads through the full degradation ladder
+    /// Each file loads through the one snapshot loader
     /// ([`PlanStore::load_recovered`] /
-    /// [`TelemetryRegistry::load_recovered`]): a corrupt primary
-    /// generation recovers from its `.bak` previous generation, and only
-    /// when both generations are bad does the restore fall back to empty
-    /// state — so restore itself never fails, and the report says which
+    /// [`TelemetryRegistry::load_recovered`]): a corrupt or missing primary
+    /// generation recovers from its `.bak` previous generation, state
+    /// stamped for a different machine fingerprint warns and is discarded,
+    /// and only when both generations are bad does the restore fall back to
+    /// empty state. When neither generation exists the restore is a fresh
+    /// start: that file's report fields stay `None` and the router keeps
+    /// its state. So restore itself never fails, and the report says which
     /// generation served. The `Result` is kept for API stability.
     pub fn restore(&self, router: &Router) -> Result<RestoreReport, DaemonError> {
         let mut report = RestoreReport {
@@ -297,20 +288,20 @@ impl PretuneDaemon {
             plan_check: None,
             plan_source: None,
         };
-        if self.config.telemetry_path.exists() {
-            let recovered =
-                TelemetryRegistry::load_recovered(&self.config.telemetry_path, router.machine());
-            report.telemetry_shapes = recovered.registry.len();
-            report.telemetry_check = Some(recovered.check);
-            report.telemetry_source = Some(recovered.source);
-            router.telemetry().restore_from(recovered.registry);
+        let telemetry =
+            TelemetryRegistry::load_recovered(&self.config.telemetry_path, router.machine());
+        if telemetry.source != SnapshotSource::Missing {
+            report.telemetry_shapes = telemetry.registry.len();
+            report.telemetry_check = Some(telemetry.check);
+            report.telemetry_source = Some(telemetry.source);
+            router.telemetry().restore_from(telemetry.registry);
         }
-        if self.config.store_path.exists() {
-            let recovered = PlanStore::load_recovered(&self.config.store_path, router.machine());
-            report.plans = recovered.store.len();
-            report.plan_check = Some(recovered.check);
-            report.plan_source = Some(recovered.source);
-            router.cache().replace_store(recovered.store);
+        let plans = PlanStore::load_recovered(&self.config.store_path, router.machine());
+        if plans.source != SnapshotSource::Missing {
+            report.plans = plans.store.len();
+            report.plan_check = Some(plans.check);
+            report.plan_source = Some(plans.source);
+            router.cache().replace_store(plans.store);
         }
         Ok(report)
     }
@@ -583,6 +574,31 @@ mod tests {
         // …so yesterday's hot shape dispatches as a pure cache hit.
         let report = router.dispatch(&[GemmRequest::fp32(hot, 7)]).unwrap();
         assert!(report.batch.per_config[0].cache_hit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_rotation_restores_the_previous_generation() {
+        // A crash between a save's rotate-to-`.bak` and its rename leaves
+        // no primary, only the `.bak` generation of each snapshot.
+        let dir = temp_dir("torn");
+        let daemon = PretuneDaemon::new(PretuneDaemonConfig {
+            top_n: 1,
+            ..PretuneDaemonConfig::in_dir(&dir)
+        });
+        let router = Router::new(32);
+        router
+            .dispatch(&[GemmRequest::fp32(GemmConfig::abt(48, 48, 16), 1)])
+            .unwrap();
+        daemon.tick(&router).unwrap();
+        daemon.tick(&router).unwrap();
+        for path in [&daemon.config().telemetry_path, &daemon.config().store_path] {
+            std::fs::rename(path, sme_runtime::backup_path(path)).unwrap();
+        }
+        let report = daemon.restore(&Router::new(32)).unwrap();
+        assert_eq!(report.plan_source, Some(SnapshotSource::Backup));
+        assert!(report.plans >= 1, "{report:?}");
+        assert!(report.telemetry_shapes >= 1, "{report:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,7 +24,7 @@
 //!   dominate traffic lately?*; [`Router::pretune_hot`] autotunes exactly
 //!   those, and the whole registry persists as a versioned,
 //!   machine-fingerprinted JSON snapshot
-//!   ([`TelemetryRegistry::save`]/[`TelemetryRegistry::load_checked`]);
+//!   ([`TelemetryRegistry::save`]/[`TelemetryRegistry::load_recovered`]);
 //! * [`plan_batch`] — a batch placement over the machine's real engine
 //!   classes (two shared SME units + ten private cores) that replaces the
 //!   runtime's identical-cores makespan; [`Router::dispatch`] folds the
@@ -102,7 +102,7 @@ pub use policy::{
 };
 pub use router::{RoutedBatchReport, Router};
 pub use telemetry::{
-    RecoveredTelemetry, ShapeStats, TelemetryError, TelemetryRegistry, DEFAULT_DECAY_HALF_LIFE,
+    RecoveredTelemetry, ShapeStats, TelemetryRegistry, DEFAULT_DECAY_HALF_LIFE,
     TELEMETRY_SNAPSHOT_VERSION,
 };
 

@@ -18,11 +18,12 @@
 //!   *shifting* traffic instead of being dominated by all-time history;
 //! * the whole registry round-trips through a versioned,
 //!   machine-fingerprinted JSON snapshot
-//!   ([`TelemetryRegistry::save`] / [`TelemetryRegistry::load_checked`]),
-//!   mirroring the plan store's format discipline: a snapshot taken
-//!   against a different timing calibration warns and is discarded, since
-//!   its recorded cycles (and therefore its hot-shape ranking) were
-//!   simulated on a different machine model.
+//!   ([`TelemetryRegistry::save`] / [`TelemetryRegistry::load_recovered`]),
+//!   loaded by the same snapshot loader as the plan store
+//!   ([`sme_runtime::load_snapshot`]): a snapshot taken against a
+//!   different timing calibration warns and is discarded, since its
+//!   recorded cycles (and therefore its hot-shape ranking) were simulated
+//!   on a different machine model.
 //!
 //! Ranking is by **decayed cumulative cycles** (cost), with decayed and
 //! raw request counts as tie-breaks: a shape called rarely but costing
@@ -30,11 +31,13 @@
 //! pretuner ahead of a cheap-but-chatty shape.
 
 use serde::Serialize;
+use serde_json::Value;
 use sme_gemm::{AnyGemmConfig, BLayout, Backend, Beta, Dtype, GemmConfig, WideningGemmConfig};
 use sme_machine::MachineConfig;
-use sme_runtime::{BatchReport, FingerprintCheck};
+use sme_runtime::{
+    BatchReport, FingerprintCheck, Recovered, Snapshot, SnapshotError, SnapshotSource,
+};
 use std::collections::HashMap;
-use std::fmt;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -51,33 +54,6 @@ pub const TELEMETRY_SNAPSHOT_VERSION: u64 = 1;
 /// ago has faded below 12% weight — long enough to smooth bursts, short
 /// enough that a traffic shift reorders the ranking within a phase.
 pub const DEFAULT_DECAY_HALF_LIFE: f64 = 16.0;
-
-/// Errors reported while loading or parsing a persisted telemetry
-/// snapshot.
-#[derive(Debug)]
-pub enum TelemetryError {
-    /// The file could not be read or written.
-    Io(std::io::Error),
-    /// The document is not valid JSON or not a valid snapshot.
-    Format(String),
-}
-
-impl fmt::Display for TelemetryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TelemetryError::Io(e) => write!(f, "telemetry snapshot I/O error: {e}"),
-            TelemetryError::Format(msg) => write!(f, "telemetry snapshot format error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TelemetryError {}
-
-impl From<std::io::Error> for TelemetryError {
-    fn from(e: std::io::Error) -> Self {
-        TelemetryError::Io(e)
-    }
-}
 
 /// Accumulated traffic statistics for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,20 +223,10 @@ impl TelemetryRegistry {
     /// An empty registry stamped with `machine`'s timing fingerprint (the
     /// cycles it will record are simulated on that model).
     pub fn for_machine(machine: &MachineConfig) -> Self {
-        let mut registry = TelemetryRegistry::new();
-        registry.stamp(machine);
-        registry
-    }
-
-    /// Stamp the registry with `machine`'s timing fingerprint, declaring
-    /// that its recorded cycles were simulated on that model.
-    pub fn stamp(&mut self, machine: &MachineConfig) {
-        self.machine_fingerprint = Some(machine.fingerprint());
-    }
-
-    /// The recorded machine fingerprint, if the registry is stamped.
-    pub fn machine_fingerprint(&self) -> Option<u64> {
-        self.machine_fingerprint
+        TelemetryRegistry {
+            machine_fingerprint: Some(machine.fingerprint()),
+            ..TelemetryRegistry::new()
+        }
     }
 
     /// The per-epoch retention factor of the decayed counters.
@@ -472,32 +438,50 @@ impl TelemetryRegistry {
     /// Decayed counters load normalized to epoch 0 of the new registry, so
     /// the relative decayed ranking at snapshot time is preserved exactly
     /// across the restart.
-    pub fn from_json(text: &str) -> Result<Self, TelemetryError> {
-        let fail = |msg: &str| TelemetryError::Format(msg.to_string());
-        let doc = serde_json::from_str(text)
-            .map_err(|e| TelemetryError::Format(format!("invalid JSON: {e}")))?;
-        match doc.get("version").and_then(|v| v.as_u64()) {
-            Some(TELEMETRY_SNAPSHOT_VERSION) => {}
-            Some(other) => {
-                return Err(TelemetryError::Format(format!(
-                    "unsupported telemetry snapshot version {other} \
-                     (expected {TELEMETRY_SNAPSHOT_VERSION})"
-                )))
-            }
-            None => return Err(fail("missing `version` field")),
+    pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
+        sme_runtime::parse_snapshot(text)
+    }
+
+    /// Write the snapshot JSON document to a file — atomically (temp +
+    /// fsync + rename), with a checksum trailer, keeping the previous
+    /// generation at `<path>.bak` (see [`sme_runtime::save_snapshot`]).
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
+        sme_runtime::save_snapshot(path.as_ref(), &self.to_json())
+    }
+
+    /// Replace this registry's recorded traffic and decay state with
+    /// `other`'s (the restore half of a restart: the router owns its
+    /// registry, so a loaded snapshot is absorbed in place).
+    pub fn restore_from(&self, other: TelemetryRegistry) {
+        let mut inner = self.lock_inner();
+        *inner = other.inner.into_inner().unwrap_or_else(|p| p.into_inner());
+    }
+
+    /// Load through the one snapshot loader
+    /// ([`sme_runtime::load_snapshot`]): primary generation → `.bak`
+    /// previous generation → empty, then the fingerprint staleness check.
+    /// Never fails: corruption recovers from the previous generation or
+    /// starts empty, a fingerprint mismatch discards the stale traffic for
+    /// an empty registry stamped for `machine` (the decayed ranking
+    /// rebuilds), and a missing file is a fresh start. The
+    /// [`RecoveredTelemetry`] says which rung served.
+    pub fn load_recovered(path: impl AsRef<Path>, machine: &MachineConfig) -> RecoveredTelemetry {
+        let loaded: Recovered<Self> = sme_runtime::load_snapshot(path.as_ref(), machine);
+        RecoveredTelemetry {
+            registry: loaded.value,
+            check: loaded.check,
+            source: loaded.source,
+            detail: loaded.detail,
         }
-        let machine_fingerprint = match doc.get("machine_fingerprint") {
-            None | Some(serde_json::Value::Null) => None,
-            Some(v) => {
-                let hex = v
-                    .as_str()
-                    .ok_or_else(|| fail("`machine_fingerprint` must be a hex string"))?;
-                Some(
-                    u64::from_str_radix(hex, 16)
-                        .map_err(|_| fail(&format!("invalid machine fingerprint `{hex}`")))?,
-                )
-            }
-        };
+    }
+}
+
+impl Snapshot for TelemetryRegistry {
+    const KIND: &'static str = "telemetry snapshot";
+    const VERSION: u64 = TELEMETRY_SNAPSHOT_VERSION;
+
+    fn decode(doc: &Value, machine_fingerprint: Option<u64>) -> Result<Self, String> {
+        let fail = |msg: &str| msg.to_string();
         let retention = doc
             .get("retention")
             .and_then(|v| v.as_f64())
@@ -514,26 +498,26 @@ impl TelemetryRegistry {
         let mut entries = HashMap::new();
         let mut total_requests = 0u64;
         for shape in shapes {
-            let dim = |name: &str| -> Result<usize, TelemetryError> {
+            let dim = |name: &str| -> Result<usize, String> {
                 shape
                     .get(name)
                     .and_then(|v| v.as_u64())
                     .map(|v| v as usize)
                     .ok_or_else(|| fail(&format!("shape missing integer field `{name}`")))
             };
-            let count = |name: &str| -> Result<u64, TelemetryError> {
+            let count = |name: &str| -> Result<u64, String> {
                 shape
                     .get(name)
                     .and_then(|v| v.as_u64())
                     .ok_or_else(|| fail(&format!("shape missing integer field `{name}`")))
             };
-            let number = |name: &str| -> Result<f64, TelemetryError> {
+            let number = |name: &str| -> Result<f64, String> {
                 shape
                     .get(name)
                     .and_then(|v| v.as_f64())
                     .ok_or_else(|| fail(&format!("shape missing number field `{name}`")))
             };
-            let text_field = |name: &str| -> Result<&str, TelemetryError> {
+            let text_field = |name: &str| -> Result<&str, String> {
                 shape
                     .get(name)
                     .and_then(|v| v.as_str())
@@ -563,7 +547,7 @@ impl TelemetryRegistry {
                     // Snapshots written before the schedule dimension have
                     // no `schedule` field: those kernels were all serial.
                     let schedule = match shape.get("schedule") {
-                        None | Some(serde_json::Value::Null) => sme_gemm::KernelSchedule::Serial,
+                        None | Some(Value::Null) => sme_gemm::KernelSchedule::Serial,
                         Some(v) => {
                             let name = v
                                 .as_str()
@@ -625,146 +609,16 @@ impl TelemetryRegistry {
         })
     }
 
-    /// Write the snapshot JSON document to a file — atomically (temp +
-    /// fsync + rename), with a checksum trailer, keeping the previous
-    /// generation at `<path>.bak` (see [`sme_runtime::save_snapshot`]).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), TelemetryError> {
-        sme_runtime::save_snapshot(path.as_ref(), &self.to_json())?;
-        Ok(())
+    fn empty_for(machine: &MachineConfig) -> Self {
+        TelemetryRegistry::for_machine(machine)
     }
 
-    /// Load a snapshot previously written with [`TelemetryRegistry::save`].
-    /// The checksum trailer is verified when present; trailer-less legacy
-    /// documents still load.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, TelemetryError> {
-        match sme_runtime::read_snapshot(path.as_ref()) {
-            Ok(text) => TelemetryRegistry::from_json(&text),
-            Err(sme_runtime::SnapshotError::Io(e)) => Err(TelemetryError::Io(e)),
-            Err(sme_runtime::SnapshotError::Corrupt(msg)) => Err(TelemetryError::Format(msg)),
-        }
+    fn machine_fingerprint(&self) -> Option<u64> {
+        self.machine_fingerprint
     }
 
-    /// Compare the snapshot's fingerprint against `machine`'s current
-    /// timing parameters.
-    pub fn fingerprint_check(&self, machine: &MachineConfig) -> FingerprintCheck {
-        let current = machine.fingerprint();
-        match self.machine_fingerprint {
-            None => FingerprintCheck::Unstamped,
-            Some(stored) if stored == current => FingerprintCheck::Match,
-            Some(stored) => FingerprintCheck::Mismatch { stored, current },
-        }
-    }
-
-    /// Load a persisted snapshot and validate it against `machine`'s
-    /// timing fingerprint, mirroring `PlanStore::load_checked`.
-    ///
-    /// On a fingerprint mismatch the stale traffic is **discarded** — the
-    /// returned registry is empty but stamped for `machine`, since the
-    /// snapshot's cycle counts (and therefore its hot-shape ranking) were
-    /// simulated against a different calibration — and a warning naming
-    /// both fingerprints is printed to stderr. Unstamped snapshots load
-    /// as-is with [`FingerprintCheck::Unstamped`].
-    /// *Corruption* is handled differently from staleness: if the primary
-    /// document is unreadable, fails its checksum trailer, or does not
-    /// parse, the `.bak` previous generation (kept by every
-    /// [`TelemetryRegistry::save`]) is tried before giving up, and the
-    /// original error is returned only when both generations are bad.
-    pub fn load_checked(
-        path: impl AsRef<Path>,
-        machine: &MachineConfig,
-    ) -> Result<(Self, FingerprintCheck), TelemetryError> {
-        let path = path.as_ref();
-        let registry = match TelemetryRegistry::load(path) {
-            Ok(registry) => registry,
-            Err(TelemetryError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(TelemetryError::Io(e));
-            }
-            Err(primary) => match TelemetryRegistry::load(sme_runtime::backup_path(path)) {
-                Ok(previous) => {
-                    eprintln!(
-                        "warning: telemetry snapshot {} is corrupt ({primary}); \
-                         recovered {} shape(s) from the previous generation",
-                        path.display(),
-                        previous.len()
-                    );
-                    previous
-                }
-                Err(_) => return Err(primary),
-            },
-        };
-        let check = registry.fingerprint_check(machine);
-        if let FingerprintCheck::Mismatch { stored, current } = check {
-            eprintln!(
-                "warning: telemetry snapshot {} was recorded against machine \
-                 fingerprint {stored:016x} but the current model is {current:016x}; \
-                 discarding its {} stale shape(s) — the decayed ranking will rebuild",
-                path.display(),
-                registry.len()
-            );
-            return Ok((TelemetryRegistry::for_machine(machine), check));
-        }
-        Ok((registry, check))
-    }
-
-    /// Replace this registry's recorded traffic and decay state with
-    /// `other`'s (the restore half of a restart: the router owns its
-    /// registry, so a loaded snapshot is absorbed in place).
-    pub fn restore_from(&self, other: TelemetryRegistry) {
-        let mut inner = self.lock_inner();
-        *inner = other.inner.into_inner().unwrap_or_else(|p| p.into_inner());
-    }
-
-    /// Load with the full degradation ladder: primary generation → `.bak`
-    /// previous generation → empty, applying the fingerprint staleness
-    /// check to whichever generation served.
-    ///
-    /// Unlike [`TelemetryRegistry::load_checked`] this never fails:
-    /// *corruption* (torn writes, bit-flips, unparseable JSON, injected
-    /// I/O faults) recovers from the previous generation, *staleness*
-    /// (fingerprint mismatch) discards to an empty re-stamped registry,
-    /// and a missing file is a fresh start. The [`RecoveredTelemetry`]
-    /// says which rung served.
-    pub fn load_recovered(path: impl AsRef<Path>, machine: &MachineConfig) -> RecoveredTelemetry {
-        let path = path.as_ref();
-        let recovered =
-            sme_runtime::load_with_recovery(path, |text| TelemetryRegistry::from_json(text));
-        let source = recovered.source;
-        let detail = recovered.detail;
-        if let Some(d) = detail.as_deref() {
-            eprintln!("warning: telemetry snapshot {}: {d}", path.display());
-        }
-        match recovered.value {
-            Some(registry) => {
-                let check = registry.fingerprint_check(machine);
-                if let FingerprintCheck::Mismatch { stored, current } = check {
-                    eprintln!(
-                        "warning: telemetry snapshot {} was recorded against machine \
-                         fingerprint {stored:016x} but the current model is {current:016x}; \
-                         discarding its {} stale shape(s) — the decayed ranking will rebuild",
-                        path.display(),
-                        registry.len()
-                    );
-                    return RecoveredTelemetry {
-                        registry: TelemetryRegistry::for_machine(machine),
-                        check,
-                        source,
-                        detail,
-                    };
-                }
-                RecoveredTelemetry {
-                    registry,
-                    check,
-                    source,
-                    detail,
-                }
-            }
-            None => RecoveredTelemetry {
-                registry: TelemetryRegistry::for_machine(machine),
-                check: FingerprintCheck::Match,
-                source,
-                detail,
-            },
-        }
+    fn entry_count(&self) -> usize {
+        self.len()
     }
 }
 
@@ -778,7 +632,7 @@ pub struct RecoveredTelemetry {
     /// Fingerprint verdict for the generation that served.
     pub check: FingerprintCheck,
     /// Which generation served.
-    pub source: sme_runtime::SnapshotSource,
+    pub source: SnapshotSource,
     /// Why the primary (and possibly backup) generation was rejected.
     pub detail: Option<String>,
 }
@@ -1010,8 +864,9 @@ mod tests {
 
         let path = std::env::temp_dir().join("sme_router_telemetry_roundtrip.json");
         telemetry.save(&path).unwrap();
-        let (loaded, check) = TelemetryRegistry::load_checked(&path, &machine).unwrap();
-        assert_eq!(check, FingerprintCheck::Match);
+        let recovered = TelemetryRegistry::load_recovered(&path, &machine);
+        assert_eq!(recovered.check, FingerprintCheck::Match);
+        let loaded = recovered.registry;
         assert_eq!(loaded.total_requests(), 6);
         assert_eq!(loaded.len(), 2);
 
@@ -1028,33 +883,6 @@ mod tests {
         let orig = telemetry.shape(&fp32).unwrap();
         assert!((f.decayed_cycles - orig.decayed_cycles).abs() < 1e-9);
         assert!(f.decayed_cycles < f.cycles, "two epochs of decay applied");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn stale_fingerprint_snapshots_are_discarded() {
-        let machine = MachineConfig::apple_m4();
-        let telemetry = TelemetryRegistry::for_machine(&machine);
-        telemetry.record_group(
-            &GemmConfig::abt(32, 32, 8).into(),
-            Backend::Sme,
-            5,
-            50.0,
-            true,
-        );
-        let path = std::env::temp_dir().join("sme_router_telemetry_stale.json");
-        telemetry.save(&path).unwrap();
-
-        let mut recalibrated = MachineConfig::apple_m4();
-        recalibrated.p_core.clock_ghz = 4.0;
-        let (loaded, check) = TelemetryRegistry::load_checked(&path, &recalibrated).unwrap();
-        assert!(matches!(check, FingerprintCheck::Mismatch { .. }));
-        assert!(loaded.is_empty(), "stale traffic must not seed the ranking");
-        assert_eq!(
-            loaded.machine_fingerprint(),
-            Some(recalibrated.fingerprint()),
-            "the returned registry is stamped for the current machine"
-        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1098,7 +926,7 @@ mod tests {
         ];
         for (text, needle) in cases {
             match TelemetryRegistry::from_json(text) {
-                Err(TelemetryError::Format(msg)) => {
+                Err(SnapshotError::Format(msg)) => {
                     assert!(msg.contains(needle), "{needle:?} not in {msg:?}")
                 }
                 other => panic!("expected Format error for {text:?}, got {other:?}"),

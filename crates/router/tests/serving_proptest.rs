@@ -16,7 +16,7 @@ use sme_gemm::{AnyGemmConfig, Backend, GemmConfig, WideningGemmConfig};
 use sme_machine::multicore::MulticoreModel;
 use sme_machine::MachineConfig;
 use sme_router::{plan_batch_placed, GroupCost, Router, TelemetryRegistry};
-use sme_runtime::{FingerprintCheck, GemmRequest};
+use sme_runtime::{FingerprintCheck, GemmRequest, Snapshot};
 
 /// A pool of valid mixed-dtype shapes: FP32 on and off the Neon 16×4 grid,
 /// plus widening shapes on and off the SME 32×32 grid.
@@ -195,7 +195,10 @@ proptest! {
             .expect("snapshots always parse back");
         prop_assert_eq!(loaded.total_requests(), telemetry.total_requests());
         prop_assert_eq!(loaded.len(), telemetry.len());
-        prop_assert_eq!(loaded.fingerprint_check(&machine), FingerprintCheck::Match);
+        prop_assert_eq!(
+            FingerprintCheck::of(loaded.machine_fingerprint(), &machine),
+            FingerprintCheck::Match
+        );
         // The decayed ranking — the pretuner's input — is preserved
         // shape-for-shape.
         let before: Vec<AnyGemmConfig> =
@@ -221,11 +224,10 @@ proptest! {
         telemetry.save(&path).expect("snapshot writes");
         let mut recalibrated = MachineConfig::apple_m4();
         recalibrated.p_core.clock_ghz += 0.25;
-        let (discarded, check) = TelemetryRegistry::load_checked(&path, &recalibrated)
-            .expect("stale snapshots load as empty, not as an error");
+        let discarded = TelemetryRegistry::load_recovered(&path, &recalibrated);
         let _ = std::fs::remove_file(&path);
-        let mismatched = matches!(check, FingerprintCheck::Mismatch { .. });
+        let mismatched = matches!(discarded.check, FingerprintCheck::Mismatch { .. });
         prop_assert!(mismatched, "expected a fingerprint mismatch");
-        prop_assert!(discarded.is_empty());
+        prop_assert!(discarded.registry.is_empty(), "stale snapshots load as empty");
     }
 }

@@ -488,7 +488,7 @@ impl KernelCache {
             .copied()
     }
 
-    /// Replace the whole plan store (e.g. after [`PlanStore::load`]) and
+    /// Replace the whole plan store (e.g. after [`PlanStore::load_recovered`]) and
     /// drop every cached kernel and packed operand set, since any of them
     /// may now be stale.
     pub fn replace_store(&self, store: PlanStore) {

@@ -2,10 +2,11 @@
 //!
 //! Before this module, failure on the serving path was ad hoc: invalid
 //! configurations surfaced as [`sme_gemm::GemmError`], everything else
-//! panicked (lock poisoning, kernel bugs) or was stringly typed (snapshot
-//! I/O). [`ServeError`] names the failure modes the *serving* layer is
-//! expected to survive, so reports can say exactly how far down the
-//! degradation ladder a request travelled:
+//! panicked (lock poisoning, kernel bugs). [`ServeError`] names the failure
+//! modes the *serving* layer is expected to survive, so reports can say
+//! exactly how far down the degradation ladder a request travelled
+//! (persistence failures have their own type,
+//! [`crate::persist::SnapshotError`]):
 //!
 //! 1. serve on the routed backend;
 //! 2. on compile failure or a panic, retry once on the fallback backend
@@ -37,13 +38,6 @@ pub enum ServeError {
         /// The panic payload, stringified.
         detail: String,
     },
-    /// A snapshot could not be saved or loaded.
-    Snapshot {
-        /// The file involved.
-        path: String,
-        /// The underlying error.
-        detail: String,
-    },
     /// A background daemon operation failed.
     Daemon {
         /// The underlying error.
@@ -59,7 +53,6 @@ impl ServeError {
             ServeError::Gemm(_) => "invalid_config",
             ServeError::Compile { .. } => "compile",
             ServeError::ExecPanic { .. } => "exec_panic",
-            ServeError::Snapshot { .. } => "snapshot",
             ServeError::Daemon { .. } => "daemon",
         }
     }
@@ -74,9 +67,6 @@ impl fmt::Display for ServeError {
             }
             ServeError::ExecPanic { backend, detail } => {
                 write!(f, "group panicked on {backend}: {detail}")
-            }
-            ServeError::Snapshot { path, detail } => {
-                write!(f, "snapshot failure at {path}: {detail}")
             }
             ServeError::Daemon { detail } => write!(f, "daemon failure: {detail}"),
         }

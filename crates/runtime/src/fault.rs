@@ -30,7 +30,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub enum FaultKind {
     /// A snapshot save fails with an I/O error before anything is written.
     SaveIo,
-    /// A snapshot load fails with an I/O error before anything is read.
+    /// A snapshot load of an existing file fails with an I/O error before
+    /// its contents are used (a missing file is a fresh start, not a site).
     LoadIo,
     /// A persisted snapshot is corrupted on disk (bit-flip or truncation).
     SnapshotCorrupt,

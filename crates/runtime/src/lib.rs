@@ -88,13 +88,12 @@ pub use fault::{
 };
 pub use pack::{PackLayout, PackStats, PackedOperandCache};
 pub use persist::{
-    backup_path, load_with_recovery, read_snapshot, save_snapshot, Recovered, SnapshotError,
-    SnapshotSource,
+    backup_path, load_snapshot, parse_snapshot, read_snapshot, save_snapshot, FingerprintCheck,
+    Recovered, Snapshot, SnapshotError, SnapshotSource,
 };
 pub use service::{BatchReport, ConfigReport, GemmRequest, GemmService, RequestFailure};
 pub use store::{
-    tune_key, tune_key_any, FingerprintCheck, PlanStore, PlanStoreError, RecoveredStore,
-    TunedRecord, PLAN_STORE_VERSION,
+    tune_key, tune_key_any, PlanStore, RecoveredStore, TunedRecord, PLAN_STORE_VERSION,
 };
 pub use tuner::{tune, tune_any, tune_any_into_store, tune_into_store, TuneOutcome, TunerOptions};
 

@@ -12,27 +12,24 @@
 //! to re-derive the plan deterministically, which keeps the document tiny
 //! and immune to staleness in the block geometry itself.
 
+use crate::persist::{self, FingerprintCheck, Recovered, Snapshot, SnapshotError, SnapshotSource};
 use serde::Serialize;
+use serde_json::Value;
 use sme_gemm::{
     AnyGemmConfig, BLayout, Backend, Beta, Dtype, GemmConfig, KernelSchedule, PlanCandidate,
     PlanKind, WideningGemmConfig, ZaTransferStrategy,
 };
 use sme_machine::MachineConfig;
 use std::collections::HashMap;
-use std::fmt;
 use std::path::Path;
 
-/// Version stamp written into the JSON document. Version 4 added the
-/// kernel-schedule dimension: entries carry a `schedule` tag (`"Serial"`
-/// or `"Pipelined"`; absent means serial, so hand-trimmed documents stay
-/// loadable). Version 3 made the datatype a first-class dimension: entries
-/// carry a `dtype` tag (`"Fp32"` or `"WideningBf16"`), and widening
-/// entries omit the FP32-only fields (`lda`/`ldb`/`ldc`/`b_layout`/
-/// `beta`). Version 2 added the per-entry `backend` tag and the optional
-/// `machine_fingerprint` stamp. Version-3, -2 and -1 documents still load
-/// (their entries are implicitly serial; version-2 and -1 entries are
-/// additionally implicitly FP32, and version-1 entries implicitly SME and
-/// unstamped).
+/// Version stamp written into the JSON document, and the only version that
+/// loads: older documents are discarded like a stale fingerprint (tuned
+/// winners are a cache the tuner regenerates). Every entry carries a
+/// `dtype` tag (`"Fp32"` or `"WideningBf16"`; widening entries write `null`
+/// for the FP32-only fields `lda`/`ldb`/`ldc`/`b_layout`/`beta`), a
+/// `backend` tag and a `schedule` tag (`"Serial"` or `"Pipelined"`; absent
+/// means serial, so hand-trimmed documents stay loadable).
 pub const PLAN_STORE_VERSION: u64 = 4;
 
 /// The tuning result stored for one normalized configuration.
@@ -57,52 +54,6 @@ impl TunedRecord {
             self.default_cycles / self.tuned_cycles
         }
     }
-}
-
-/// Errors reported while loading or parsing a persisted plan store.
-#[derive(Debug)]
-pub enum PlanStoreError {
-    /// The file could not be read or written.
-    Io(std::io::Error),
-    /// The document is not valid JSON or not a valid plan store.
-    Format(String),
-}
-
-impl fmt::Display for PlanStoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanStoreError::Io(e) => write!(f, "plan store I/O error: {e}"),
-            PlanStoreError::Format(msg) => write!(f, "plan store format error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for PlanStoreError {}
-
-impl From<std::io::Error> for PlanStoreError {
-    fn from(e: std::io::Error) -> Self {
-        PlanStoreError::Io(e)
-    }
-}
-
-/// The result of comparing a store's machine fingerprint against the
-/// current timing model (see [`PlanStore::fingerprint_check`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FingerprintCheck {
-    /// The store was tuned on a machine model with identical timing
-    /// parameters — its winners are trustworthy.
-    Match,
-    /// The store carries no fingerprint (version-1 document or built in
-    /// memory without [`PlanStore::stamp`]).
-    Unstamped,
-    /// The store was tuned against different timing parameters; its winners
-    /// may be stale.
-    Mismatch {
-        /// Fingerprint recorded in the store.
-        stored: u64,
-        /// Fingerprint of the current machine model.
-        current: u64,
-    },
 }
 
 /// In-memory map of tuned winners, keyed by normalized configuration, plus
@@ -142,84 +93,10 @@ impl PlanStore {
 
     /// An empty store stamped with `machine`'s timing fingerprint.
     pub fn for_machine(machine: &MachineConfig) -> Self {
-        let mut store = PlanStore::new();
-        store.stamp(machine);
-        store
-    }
-
-    /// Stamp the store with `machine`'s timing fingerprint, declaring that
-    /// its winners were tuned against that model.
-    pub fn stamp(&mut self, machine: &MachineConfig) {
-        self.machine_fingerprint = Some(machine.fingerprint());
-    }
-
-    /// The recorded machine fingerprint, if the store is stamped.
-    pub fn machine_fingerprint(&self) -> Option<u64> {
-        self.machine_fingerprint
-    }
-
-    /// Compare the store's fingerprint against `machine`'s current timing
-    /// parameters.
-    pub fn fingerprint_check(&self, machine: &MachineConfig) -> FingerprintCheck {
-        let current = machine.fingerprint();
-        match self.machine_fingerprint {
-            None => FingerprintCheck::Unstamped,
-            Some(stored) if stored == current => FingerprintCheck::Match,
-            Some(stored) => FingerprintCheck::Mismatch { stored, current },
+        PlanStore {
+            machine_fingerprint: Some(machine.fingerprint()),
+            ..PlanStore::default()
         }
-    }
-
-    /// Load a persisted store and validate it against `machine`'s timing
-    /// fingerprint.
-    ///
-    /// On a fingerprint mismatch the stale winners are **discarded** — the
-    /// returned store is empty but stamped for `machine`, so callers
-    /// re-tune (and re-persist) instead of silently dispatching plans tuned
-    /// for a different calibration — and a warning naming both fingerprints
-    /// is printed to stderr. Unstamped (version-1) stores load as-is with
-    /// [`FingerprintCheck::Unstamped`]; the caller decides whether to trust
-    /// them.
-    ///
-    /// *Corruption* is handled differently from staleness: if the primary
-    /// document is unreadable, fails its checksum trailer, or does not
-    /// parse, the `.bak` previous generation (kept by every
-    /// [`PlanStore::save`]) is tried before giving up, and the original
-    /// error is returned only when both generations are bad.
-    pub fn load_checked(
-        path: impl AsRef<Path>,
-        machine: &MachineConfig,
-    ) -> Result<(Self, FingerprintCheck), PlanStoreError> {
-        let path = path.as_ref();
-        let store = match PlanStore::load(path) {
-            Ok(store) => store,
-            Err(PlanStoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(PlanStoreError::Io(e));
-            }
-            Err(primary) => match PlanStore::load(crate::persist::backup_path(path)) {
-                Ok(previous) => {
-                    eprintln!(
-                        "warning: plan store {} is corrupt ({primary}); \
-                         recovered {} winner(s) from the previous generation",
-                        path.display(),
-                        previous.len()
-                    );
-                    previous
-                }
-                Err(_) => return Err(primary),
-            },
-        };
-        let check = store.fingerprint_check(machine);
-        if let FingerprintCheck::Mismatch { stored, current } = check {
-            eprintln!(
-                "warning: plan store {} was tuned for machine fingerprint \
-                 {stored:016x} but the current model is {current:016x}; \
-                 discarding its {} stale winner(s) — re-tune and re-save",
-                path.display(),
-                store.len()
-            );
-            return Ok((PlanStore::for_machine(machine), check));
-        }
-        Ok((store, check))
     }
 
     /// Number of tuned winners.
@@ -336,66 +213,70 @@ impl PlanStore {
         serde_json::to_string_pretty(&doc).expect("shim serialization is total")
     }
 
-    /// Parse a document produced by [`PlanStore::to_json`] (or by the
-    /// version-1/-2 formats, whose entries are implicitly FP32).
-    pub fn from_json(text: &str) -> Result<Self, PlanStoreError> {
-        let fail = |msg: &str| PlanStoreError::Format(msg.to_string());
-        let doc = serde_json::from_str(text)
-            .map_err(|e| PlanStoreError::Format(format!("invalid JSON: {e}")))?;
-        let version = match doc.get("version").and_then(|v| v.as_u64()) {
-            Some(v @ (1 | 2 | 3 | PLAN_STORE_VERSION)) => v,
-            Some(other) => {
-                return Err(PlanStoreError::Format(format!(
-                    "unsupported plan store version {other} (expected {PLAN_STORE_VERSION})"
-                )))
-            }
-            None => return Err(fail("missing `version` field")),
-        };
-        let machine_fingerprint = match doc.get("machine_fingerprint") {
-            None | Some(serde_json::Value::Null) => None,
-            Some(v) => {
-                let hex = v
-                    .as_str()
-                    .ok_or_else(|| fail("`machine_fingerprint` must be a hex string"))?;
-                Some(
-                    u64::from_str_radix(hex, 16)
-                        .map_err(|_| fail(&format!("invalid machine fingerprint `{hex}`")))?,
-                )
-            }
-        };
+    /// Parse a document produced by [`PlanStore::to_json`].
+    pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
+        persist::parse_snapshot(text)
+    }
+
+    /// Write the JSON document to a file — atomically (temp + fsync +
+    /// rename), with a checksum trailer, keeping the previous generation at
+    /// `<path>.bak` (see [`crate::persist::save_snapshot`]).
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
+        persist::save_snapshot(path.as_ref(), &self.to_json())
+    }
+
+    /// Load through the one snapshot loader ([`persist::load_snapshot`]):
+    /// primary generation → `.bak` previous generation → empty, then the
+    /// fingerprint staleness check. Never fails: corruption (and a document
+    /// older than [`PLAN_STORE_VERSION`]) recovers from the previous
+    /// generation or starts empty, a fingerprint mismatch discards to an
+    /// empty store stamped for `machine`, and a missing file is a fresh
+    /// start. The [`RecoveredStore`] says which rung served.
+    pub fn load_recovered(path: impl AsRef<Path>, machine: &MachineConfig) -> RecoveredStore {
+        let loaded: Recovered<Self> = persist::load_snapshot(path.as_ref(), machine);
+        RecoveredStore {
+            store: loaded.value,
+            check: loaded.check,
+            source: loaded.source,
+            detail: loaded.detail,
+        }
+    }
+}
+
+impl Snapshot for PlanStore {
+    const KIND: &'static str = "plan store";
+    const VERSION: u64 = PLAN_STORE_VERSION;
+
+    fn decode(doc: &Value, machine_fingerprint: Option<u64>) -> Result<Self, String> {
+        let fail = |msg: &str| msg.to_string();
         let entries = doc
             .get("entries")
             .and_then(|v| v.as_array())
             .ok_or_else(|| fail("missing `entries` array"))?;
         let mut store = PlanStore::new();
         for entry in entries {
-            let dim = |name: &str| -> Result<usize, PlanStoreError> {
+            let dim = |name: &str| -> Result<usize, String> {
                 entry
                     .get(name)
                     .and_then(|v| v.as_u64())
                     .map(|v| v as usize)
                     .ok_or_else(|| fail(&format!("entry missing integer field `{name}`")))
             };
-            let text_field = |name: &str| -> Result<&str, PlanStoreError> {
+            let text_field = |name: &str| -> Result<&str, String> {
                 entry
                     .get(name)
                     .and_then(|v| v.as_str())
                     .ok_or_else(|| fail(&format!("entry missing string field `{name}`")))
             };
-            let cycles = |name: &str| -> Result<f64, PlanStoreError> {
+            let cycles = |name: &str| -> Result<f64, String> {
                 entry
                     .get(name)
                     .and_then(|v| v.as_f64())
                     .ok_or_else(|| fail(&format!("entry missing number field `{name}`")))
             };
-            // Versions 1 and 2 predate the datatype dimension: every entry
-            // is an FP32 winner.
-            let dtype = if version < 3 {
-                Dtype::Fp32
-            } else {
-                let name = text_field("dtype")?;
-                Dtype::from_name(name).ok_or_else(|| fail(&format!("unknown dtype `{name}`")))?
-            };
+            let dtype_name = text_field("dtype")?;
+            let dtype = Dtype::from_name(dtype_name)
+                .ok_or_else(|| fail(&format!("unknown dtype `{dtype_name}`")))?;
             let c_transfer = match text_field("c_transfer")? {
                 "Direct" => ZaTransferStrategy::Direct,
                 "TwoStep" => ZaTransferStrategy::TwoStep,
@@ -404,25 +285,18 @@ impl PlanStore {
             let plan_name = text_field("plan")?;
             let kind = PlanKind::from_name(plan_name)
                 .ok_or_else(|| fail(&format!("unknown plan kind `{plan_name}`")))?;
-            // Version-1 documents predate multi-backend dispatch: every
-            // entry is an SME winner.
-            let backend = if version == 1 {
-                Backend::Sme
-            } else {
-                let name = text_field("backend")?;
-                Backend::from_name(name)
-                    .ok_or_else(|| fail(&format!("unknown backend `{name}`")))?
-            };
+            let backend_name = text_field("backend")?;
+            let backend = Backend::from_name(backend_name)
+                .ok_or_else(|| fail(&format!("unknown backend `{backend_name}`")))?;
             let k_unroll = dim("k_unroll")?;
             if !matches!(k_unroll, 1 | 2 | 4) {
                 return Err(fail(&format!(
                     "invalid stored k_unroll {k_unroll} (supported: 1, 2, 4)"
                 )));
             }
-            // Versions 1–3 predate the schedule dimension; an absent tag in
-            // a v4 document also means serial, so trimmed documents load.
+            // An absent tag means serial, so trimmed documents load.
             let schedule = match entry.get("schedule") {
-                None | Some(serde_json::Value::Null) => KernelSchedule::Serial,
+                None | Some(Value::Null) => KernelSchedule::Serial,
                 Some(v) => {
                     let name = v
                         .as_str()
@@ -526,74 +400,16 @@ impl PlanStore {
         Ok(store)
     }
 
-    /// Write the JSON document to a file — atomically (temp + fsync +
-    /// rename), with a checksum trailer, keeping the previous generation at
-    /// `<path>.bak` (see [`crate::persist::save_snapshot`]).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PlanStoreError> {
-        crate::persist::save_snapshot(path.as_ref(), &self.to_json())?;
-        Ok(())
+    fn empty_for(machine: &MachineConfig) -> Self {
+        PlanStore::for_machine(machine)
     }
 
-    /// Load a store previously written with [`PlanStore::save`]. The
-    /// checksum trailer is verified when present; trailer-less legacy
-    /// documents still load.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PlanStoreError> {
-        match crate::persist::read_snapshot(path.as_ref()) {
-            Ok(text) => PlanStore::from_json(&text),
-            Err(crate::persist::SnapshotError::Io(e)) => Err(PlanStoreError::Io(e)),
-            Err(crate::persist::SnapshotError::Corrupt(msg)) => Err(PlanStoreError::Format(msg)),
-        }
+    fn machine_fingerprint(&self) -> Option<u64> {
+        self.machine_fingerprint
     }
 
-    /// Load with the full degradation ladder: primary generation → `.bak`
-    /// previous generation → empty, applying the fingerprint staleness
-    /// check to whichever generation served.
-    ///
-    /// Unlike [`PlanStore::load_checked`] this never fails: *corruption*
-    /// (torn writes, bit-flips, unparseable JSON, injected I/O faults)
-    /// recovers from the previous generation, *staleness* (fingerprint
-    /// mismatch) discards to an empty re-stamped store, and a missing file
-    /// is a fresh start. The [`RecoveredStore`] says which rung served.
-    pub fn load_recovered(path: impl AsRef<Path>, machine: &MachineConfig) -> RecoveredStore {
-        let path = path.as_ref();
-        let recovered = crate::persist::load_with_recovery(path, |text| PlanStore::from_json(text));
-        let source = recovered.source;
-        let detail = recovered.detail;
-        if let Some(d) = detail.as_deref() {
-            eprintln!("warning: plan store {}: {d}", path.display());
-        }
-        match recovered.value {
-            Some(store) => {
-                let check = store.fingerprint_check(machine);
-                if let FingerprintCheck::Mismatch { stored, current } = check {
-                    eprintln!(
-                        "warning: plan store {} was tuned for machine fingerprint \
-                         {stored:016x} but the current model is {current:016x}; \
-                         discarding its {} stale winner(s) — re-tune and re-save",
-                        path.display(),
-                        store.len()
-                    );
-                    return RecoveredStore {
-                        store: PlanStore::for_machine(machine),
-                        check,
-                        source,
-                        detail,
-                    };
-                }
-                RecoveredStore {
-                    store,
-                    check,
-                    source,
-                    detail,
-                }
-            }
-            None => RecoveredStore {
-                store: PlanStore::for_machine(machine),
-                check: FingerprintCheck::Match,
-                source,
-                detail,
-            },
-        }
+    fn entry_count(&self) -> usize {
+        self.len()
     }
 }
 
@@ -606,7 +422,7 @@ pub struct RecoveredStore {
     /// Fingerprint verdict for the generation that served.
     pub check: FingerprintCheck,
     /// Which generation served.
-    pub source: crate::persist::SnapshotSource,
+    pub source: SnapshotSource,
     /// Why the primary (and possibly backup) generation was rejected.
     pub detail: Option<String>,
 }
@@ -746,30 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn version_two_documents_load_as_fp32() {
-        // The v2 migration satellite: a pre-dtype document loads, its
-        // entries implicitly FP32, and its winners are honoured.
-        let v2 = r#"{"version": 2, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
-            "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-            "backend": "Sme", "plan": "Homogeneous16x64", "c_transfer": "Direct",
-            "k_unroll": 2, "tuned_cycles": 100, "default_cycles": 150}]}"#;
-        let store = PlanStore::from_json(v2).unwrap();
-        assert_eq!(store.len(), 1);
-        let rec = store.lookup(&GemmConfig::abt(48, 48, 16)).unwrap();
-        assert_eq!(rec.candidate.backend, Backend::Sme);
-        assert_eq!(
-            rec.candidate.kind,
-            PlanKind::Homogeneous(RegisterBlocking::B16x64)
-        );
-        assert_eq!(rec.candidate.c_transfer, ZaTransferStrategy::Direct);
-        // Re-serializing upgrades the document to v4 with an explicit tag.
-        let upgraded = store.to_json();
-        assert!(upgraded.contains("\"version\": 4"));
-        assert!(upgraded.contains("\"dtype\": \"Fp32\""));
-        assert_eq!(PlanStore::from_json(&upgraded).unwrap(), store);
-    }
-
-    #[test]
     fn serialized_output_is_deterministic_and_versioned() {
         let mut store = PlanStore::new();
         for mn in [96, 32, 64] {
@@ -796,135 +588,115 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected_with_context() {
+        // A valid v4 FP32 entry with some fields overridden (`"key": value`)
+        // or dropped (`"key":`).
+        let fp32 = |overrides: &[&str]| {
+            let mut fields = vec![
+                r#""dtype": "Fp32""#,
+                r#""m": 8"#,
+                r#""n": 8"#,
+                r#""k": 8"#,
+                r#""lda": 8"#,
+                r#""ldb": 8"#,
+                r#""ldc": 8"#,
+                r#""b_layout": "RowMajor""#,
+                r#""beta": "One""#,
+                r#""backend": "Sme""#,
+                r#""plan": "Heterogeneous""#,
+                r#""c_transfer": "TwoStep""#,
+                r#""k_unroll": 1"#,
+                r#""tuned_cycles": 1"#,
+                r#""default_cycles": 1"#,
+            ];
+            for &field in overrides {
+                let name = field.split(':').next();
+                fields.retain(|f| f.split(':').next() != name);
+                if !field.ends_with(':') {
+                    fields.push(field);
+                }
+            }
+            format!(
+                r#"{{"version": 4, "entries": [{{{}}}]}}"#,
+                fields.join(", ")
+            )
+        };
         let cases = [
-            ("not json", "invalid JSON"),
-            ("{}", "version"),
-            (r#"{"version": 5, "entries": []}"#, "version 5"),
-            (r#"{"version": 1}"#, "entries"),
-            (r#"{"version": 1, "entries": [{}]}"#, "missing"),
+            ("not json".to_string(), "invalid JSON"),
+            ("{}".to_string(), "version"),
+            (r#"{"version": 5, "entries": []}"#.to_string(), "version 5"),
+            (r#"{"version": 3, "entries": []}"#.to_string(), "version 3"),
+            (r#"{"version": 4}"#.to_string(), "entries"),
+            (r#"{"version": 4, "entries": [{}]}"#.to_string(), "missing"),
             (
-                r#"{"version": 2, "machine_fingerprint": "xyz", "entries": []}"#,
+                r#"{"version": 4, "machine_fingerprint": "xyz", "entries": []}"#.to_string(),
                 "machine fingerprint",
             ),
             (
                 // A non-string, non-null fingerprint is corruption, not
                 // "unstamped" — treating it as absent would silently keep
                 // winners from an unknown calibration.
-                r#"{"version": 2, "machine_fingerprint": true, "entries": []}"#,
+                r#"{"version": 4, "machine_fingerprint": true, "entries": []}"#.to_string(),
                 "hex string",
             ),
+            (fp32(&[r#""dtype":"#]), "dtype"),
+            (fp32(&[r#""dtype": "Fp16""#]), "unknown dtype"),
+            (fp32(&[r#""backend":"#]), "backend"),
+            (fp32(&[r#""backend": "Sve""#]), "unknown backend"),
+            (fp32(&[r#""b_layout": "Diagonal""#]), "b_layout"),
+            (fp32(&[r#""plan": "NoSuchPlan""#]), "plan kind"),
+            (fp32(&[r#""m": 0"#]), "invalid stored configuration"),
+            (fp32(&[r#""k_unroll": 3"#]), "k_unroll 3"),
+            // A bogus schedule tag is corruption, not serial.
+            (fp32(&[r#""schedule": "Overlapped""#]), "unknown schedule"),
             (
-                // Version 3 requires the dtype tag.
-                r#"{"version": 3, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "backend": "Sme",
-                   "plan": "Heterogeneous", "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "dtype",
-            ),
-            (
-                r#"{"version": 3, "entries": [{"dtype": "Fp16", "m": 8, "n": 8, "k": 8,
-                   "lda": 8, "ldb": 8, "ldc": 8, "b_layout": "RowMajor", "beta": "One",
-                   "backend": "Sme", "plan": "Heterogeneous", "c_transfer": "TwoStep",
-                   "k_unroll": 1, "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "unknown dtype",
-            ),
-            (
-                r#"{"version": 2, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "backend",
-            ),
-            (
-                r#"{"version": 2, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "backend": "Sve",
-                   "plan": "Heterogeneous", "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "unknown backend",
+                fp32(&[r#""b_layout": "ColMajor""#]),
+                "incompatible with column-major",
             ),
             (
                 // A Neon winner for column-major B can never dispatch (the
                 // Neon generator is row-major-B only).
-                r#"{"version": 2, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "ColMajor", "beta": "One", "backend": "Neon",
-                   "plan": "ColumnPanels", "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
+                fp32(&[
+                    r#""b_layout": "ColMajor""#,
+                    r#""backend": "Neon""#,
+                    r#""plan": "ColumnPanels""#,
+                ]),
                 "Neon-compilable",
             ),
             (
-                // A bogus schedule tag is corruption, not serial.
-                r#"{"version": 4, "entries": [{"dtype": "Fp32", "m": 8, "n": 8, "k": 8,
-                   "lda": 8, "ldb": 8, "ldc": 8, "b_layout": "RowMajor", "beta": "One",
-                   "backend": "Sme", "plan": "Heterogeneous", "c_transfer": "TwoStep",
-                   "k_unroll": 1, "schedule": "Overlapped",
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "unknown schedule",
-            ),
-            (
                 // An odd k is off the widening envelope grid entirely.
-                r#"{"version": 3, "entries": [{"dtype": "WideningBf16", "m": 24, "n": 32,
+                r#"{"version": 4, "entries": [{"dtype": "WideningBf16", "m": 24, "n": 32,
                    "k": 7, "backend": "Sme", "plan": "Homogeneous32x32",
                    "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
+                   "tuned_cycles": 1, "default_cycles": 1}]}"#
+                    .to_string(),
                 "invalid stored configuration",
             ),
             (
                 // The column-panel kind never drives the widening
                 // generator (the pre-packed operands have no column-major
                 // panels to transpose).
-                r#"{"version": 3, "entries": [{"dtype": "WideningBf16", "m": 32, "n": 32,
+                r#"{"version": 4, "entries": [{"dtype": "WideningBf16", "m": 32, "n": 32,
                    "k": 8, "backend": "Sme", "plan": "ColumnPanels",
                    "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
+                   "tuned_cycles": 1, "default_cycles": 1}]}"#
+                    .to_string(),
                 "incompatible with the widening generator",
             ),
             (
                 // m = 12 is off even the widening envelope grid.
-                r#"{"version": 3, "entries": [{"dtype": "WideningBf16", "m": 12, "n": 32,
+                r#"{"version": 4, "entries": [{"dtype": "WideningBf16", "m": 12, "n": 32,
                    "k": 8, "backend": "Neon", "plan": "Homogeneous32x32",
                    "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
+                   "tuned_cycles": 1, "default_cycles": 1}]}"#
+                    .to_string(),
                 "invalid stored configuration",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "Diagonal", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "b_layout",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "plan": "NoSuchPlan",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "plan kind",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 0, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "invalid stored configuration",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "RowMajor", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 3,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "k_unroll 3",
-            ),
-            (
-                r#"{"version": 1, "entries": [{"m": 8, "n": 8, "k": 8, "lda": 8, "ldb": 8,
-                   "ldc": 8, "b_layout": "ColMajor", "beta": "One", "plan": "Heterogeneous",
-                   "c_transfer": "TwoStep", "k_unroll": 1,
-                   "tuned_cycles": 1, "default_cycles": 1}]}"#,
-                "incompatible with column-major",
             ),
         ];
+        // The fixture itself is valid: each case fails for its one field.
+        assert!(PlanStore::from_json(&fp32(&[])).is_ok());
         for (text, needle) in cases {
-            match PlanStore::from_json(text) {
-                Err(PlanStoreError::Format(msg)) => {
+            match PlanStore::from_json(&text) {
+                Err(SnapshotError::Format(msg)) => {
                     assert!(msg.contains(needle), "{needle:?} not in {msg:?}")
                 }
                 other => panic!("expected Format error for {text:?}, got {other:?}"),
@@ -933,31 +705,15 @@ mod tests {
     }
 
     #[test]
-    fn version_one_documents_load_as_unstamped_sme() {
-        let v1 = r#"{"version": 1, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
-            "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-            "plan": "Homogeneous16x64", "c_transfer": "Direct", "k_unroll": 2,
-            "tuned_cycles": 100, "default_cycles": 150}]}"#;
-        let store = PlanStore::from_json(v1).unwrap();
-        assert_eq!(store.machine_fingerprint(), None);
-        let rec = store.lookup(&GemmConfig::abt(48, 48, 16)).unwrap();
-        assert_eq!(rec.candidate.backend, Backend::Sme);
-        assert_eq!(
-            rec.candidate.kind,
-            PlanKind::Homogeneous(RegisterBlocking::B16x64)
-        );
-    }
-
-    #[test]
     fn fingerprint_round_trips_and_detects_recalibration() {
-        use sme_machine::MachineConfig;
+        let check = |s: &PlanStore, m| FingerprintCheck::of(s.machine_fingerprint(), m);
         let machine = MachineConfig::apple_m4();
         let mut store = PlanStore::for_machine(&machine);
         store.insert(
             &GemmConfig::abt(32, 32, 16),
             sample_record(PlanKind::Heterogeneous),
         );
-        assert_eq!(store.fingerprint_check(&machine), FingerprintCheck::Match);
+        assert_eq!(check(&store, &machine), FingerprintCheck::Match);
 
         let json = store.to_json();
         assert!(json.contains("machine_fingerprint"));
@@ -973,48 +729,12 @@ mod tests {
         let mut recalibrated = MachineConfig::apple_m4();
         recalibrated.p_core.clock_ghz = 4.0;
         assert!(matches!(
-            reloaded.fingerprint_check(&recalibrated),
+            check(&reloaded, &recalibrated),
             FingerprintCheck::Mismatch { .. }
         ));
         // An unstamped store is reported as such, not as a mismatch.
-        assert_eq!(
-            PlanStore::new().fingerprint_check(&machine),
-            FingerprintCheck::Unstamped
-        );
-    }
-
-    #[test]
-    fn load_checked_discards_stale_winners() {
-        use sme_machine::MachineConfig;
-        let machine = MachineConfig::apple_m4();
-        let mut store = PlanStore::for_machine(&machine);
-        let cfg = GemmConfig::abt(64, 64, 32);
-        store.insert(&cfg, sample_record(PlanKind::Heterogeneous));
-        // A widening winner goes stale with the rest of the store.
-        store.insert_any(
-            &WideningGemmConfig::new(32, 32, 8).unwrap().into(),
-            widening_record(),
-        );
-        let path = std::env::temp_dir().join("sme_runtime_fingerprint_test.json");
-        store.save(&path).unwrap();
-
-        // Same machine: winners survive.
-        let (same, check) = PlanStore::load_checked(&path, &machine).unwrap();
-        assert_eq!(check, FingerprintCheck::Match);
-        assert!(same.lookup(&cfg).is_some());
-
-        // Different timing calibration: winners are dropped and the store
-        // comes back stamped for the *current* machine, ready to re-tune.
-        let mut recalibrated = MachineConfig::apple_m4();
-        recalibrated.multicore.sme_units = 1;
-        let (retune, check) = PlanStore::load_checked(&path, &recalibrated).unwrap();
-        assert!(matches!(check, FingerprintCheck::Mismatch { .. }));
-        assert!(retune.is_empty(), "stale winners must not be dispatched");
-        assert_eq!(
-            retune.machine_fingerprint(),
-            Some(recalibrated.fingerprint())
-        );
-        let _ = std::fs::remove_file(&path);
+        let unstamped = PlanStore::new();
+        assert_eq!(check(&unstamped, &machine), FingerprintCheck::Unstamped);
     }
 
     #[test]
@@ -1024,14 +744,15 @@ mod tests {
             &GemmConfig::abt(48, 48, 48),
             sample_record(PlanKind::Heterogeneous),
         );
+        let machine = MachineConfig::apple_m4();
         let path = std::env::temp_dir().join("sme_runtime_plan_store_test.json");
         store.save(&path).unwrap();
-        let loaded = PlanStore::load(&path).unwrap();
-        assert_eq!(loaded, store);
+        let loaded = PlanStore::load_recovered(&path, &machine);
+        assert_eq!(loaded.source, SnapshotSource::Primary);
+        assert_eq!(loaded.store, store);
         let _ = std::fs::remove_file(&path);
-        assert!(matches!(
-            PlanStore::load("/nonexistent/plan/store.json"),
-            Err(PlanStoreError::Io(_))
-        ));
+        let fresh = PlanStore::load_recovered("/nonexistent/plan/store.json", &machine);
+        assert_eq!(fresh.source, SnapshotSource::Missing);
+        assert!(fresh.store.is_empty());
     }
 }

@@ -15,7 +15,7 @@ use sme_gemm::{Backend, GemmConfig};
 use sme_machine::MachineConfig;
 use sme_router::TelemetryRegistry;
 use sme_runtime::fault::{self, FaultKind, FaultPlan, FaultRule, SitePattern};
-use sme_runtime::{GemmRequest, GemmService, PlanStore};
+use sme_runtime::{GemmRequest, GemmService, PlanStore, SnapshotSource};
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sme_fault_tol_{}_{}", name, std::process::id()));
@@ -30,10 +30,10 @@ fn tear(path: &std::path::Path) {
     std::fs::write(path, &bytes[..bytes.len() / 2]).expect("tear snapshot");
 }
 
-const PLAN_DOC: &str = r#"{"version": 2, "entries": [{"m": 48, "n": 48, "k": 16,
-    "lda": 48, "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
-    "backend": "Sme", "plan": "Homogeneous16x64", "c_transfer": "Direct",
-    "k_unroll": 2, "tuned_cycles": 100, "default_cycles": 150}]}"#;
+const PLAN_DOC: &str = r#"{"version": 4, "entries": [{"dtype": "Fp32", "m": 48, "n": 48,
+    "k": 16, "lda": 48, "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
+    "backend": "Sme", "plan": "Homogeneous16x64", "c_transfer": "Direct", "k_unroll": 2,
+    "schedule": "Serial", "tuned_cycles": 100, "default_cycles": 150}]}"#;
 
 #[test]
 fn poisoned_lock_recovers_with_data_intact() {
@@ -71,10 +71,10 @@ fn corrupt_plan_store_recovers_previous_generation() {
     generation_two.save(&path).expect("second save");
 
     tear(&path);
-    let (recovered, _check) =
-        PlanStore::load_checked(&path, &machine).expect("backup generation recovers");
+    let recovered = PlanStore::load_recovered(&path, &machine);
+    assert_eq!(recovered.source, SnapshotSource::Backup);
     assert_eq!(
-        recovered, generation_one,
+        recovered.store, generation_one,
         "recovery must restore the previous generation, not an empty store"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -107,10 +107,10 @@ fn corrupt_telemetry_recovers_previous_generation() {
     registry.save(&path).expect("second save");
 
     tear(&path);
-    let (recovered, _check) =
-        TelemetryRegistry::load_checked(&path, &machine).expect("backup generation recovers");
+    let recovered = TelemetryRegistry::load_recovered(&path, &machine);
+    assert_eq!(recovered.source, SnapshotSource::Backup);
     assert_eq!(
-        recovered.len(),
+        recovered.registry.len(),
         1,
         "recovery must restore the one-shape previous generation"
     );

@@ -183,10 +183,10 @@ fn chaos_dispatch(
 }
 
 /// Drive the serving trace under the seeded chaos schedule (see the module
-/// docs), persisting daemon state into `dir`. Installs the process-wide
-/// fault injector for the duration of the run and always clears it again,
-/// so one chaos run per process is the supported shape (the `serving`
-/// binary and the chaos integration test each own their process).
+/// docs), persisting daemon state into `dir`. Installs the fault injector
+/// on the calling thread for the duration of the run and always clears it
+/// again; the run drives every fault site from that thread or from the
+/// service workers it dispatches to.
 pub fn chaos_run(opts: &ServingTraceOptions, dir: &Path) -> Result<ChaosRun, String> {
     let plan = Arc::new(FaultPlan::chaos(opts.chaos_seed));
     // Injected group panics are expected and caught; keep their backtrace

@@ -693,7 +693,7 @@ pub fn router_sweep(opts: &RouterSweepOptions, router: &sme_router::Router) -> R
             let model = |backend| {
                 generate_any_backend(cfg, backend).ok().map(|k| {
                     let stats = k.model_stats();
-                    (stats.cycles, stats.profile)
+                    (stats.cycles, stats.profile.clone())
                 })
             };
             let sme = model(Backend::Sme);

@@ -1,11 +1,10 @@
 //! End-to-end chaos smoke: the CI serving trace under the seeded fault
 //! schedule, asserted in-process.
 //!
-//! This test deliberately lives alone in its own integration-test binary:
-//! the fault injector is process-global, so nothing else in the same
-//! process may dispatch through `GemmService` while the schedule is
-//! armed. Keep it that way — a second `#[test]` here would race the
-//! occurrence counters and turn the schedule nondeterministic.
+//! The fault injector is scoped to the thread that runs the trace (and
+//! the service workers it dispatches to), so other tests in the process
+//! cannot advance the schedule's occurrence counters: the run is
+//! deterministic per seed.
 
 use sme_bench::{chaos_run, ServingTraceOptions};
 

@@ -227,6 +227,32 @@ pub fn generate_routed(
     }
 }
 
+/// Check whether `backend`'s default generator accepts a configuration of
+/// either datatype — the precondition of [`generate_any_backend`], checked
+/// without generating anything.
+///
+/// This is the one compilability rule the serving stack shares: the kernel
+/// cache's backend preference and the router's placement costing and
+/// probes ask it before fetching, so an engine that cannot compile a shape
+/// (Neon FP32 with column-major B, see [`crate::neon::neon_supports`]) is
+/// never requested and never counted as a cache miss.
+///
+/// # Errors
+/// Returns the generator's rejection: the configuration is invalid, or
+/// off the backend's grid.
+pub fn backend_supports(cfg: &crate::AnyGemmConfig, backend: Backend) -> Result<(), GemmError> {
+    match (cfg, backend) {
+        (crate::AnyGemmConfig::Fp32(c), Backend::Sme) => c.validate(),
+        (crate::AnyGemmConfig::Fp32(c), Backend::Neon) => crate::neon::neon_supports(c),
+        (crate::AnyGemmConfig::WideningBf16(c), Backend::Sme) => {
+            crate::widening::sme_widening_supports(c)
+        }
+        (crate::AnyGemmConfig::WideningBf16(c), Backend::Neon) => {
+            crate::neon::neon_widening_supports(c)
+        }
+    }
+}
+
 /// Generate the default kernel for a configuration of either datatype on
 /// the given backend — the dtype-generic twin of [`generate_backend`].
 ///

@@ -10,6 +10,20 @@ use crate::widening::{allocate_widening_buffers, WideningKernel, WideningPackLay
 use sme_isa::Program;
 use sme_machine::exec::{RunOptions, RunResult, Simulator};
 use sme_machine::ExecStats;
+use std::sync::OnceLock;
+
+/// Alignment in bytes of every operand buffer the `allocate_*` paths
+/// produce — and the placement a kernel's memoized timing is valid for.
+///
+/// The memory model charges an access only by its address modulo 128 and
+/// 64 and by how many distinct 64-byte lines the run touches, the
+/// simulated stack's top is always page-aligned, and generated kernels
+/// have no data-dependent control flow. So two runs of one kernel on
+/// operands that are all 128-byte aligned retire the same instructions at
+/// the same modelled cost, whatever the data and wherever the buffers sit:
+/// each kernel is timed once ([`RoutedKernel::model_stats`]) and served
+/// functional-only after that ([`RoutedKernel::serve`]).
+pub const OPERAND_ALIGN: u64 = 128;
 
 /// Simulated addresses of one (A, B, C) operand triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +34,15 @@ pub struct GemmBuffers {
     pub b: u64,
     /// Address of C (column-major, `ldc × n` elements).
     pub c: u64,
+}
+
+impl GemmBuffers {
+    /// `true` if every operand starts on an [`OPERAND_ALIGN`] boundary.
+    pub fn is_aligned(&self) -> bool {
+        [self.a, self.b, self.c]
+            .iter()
+            .all(|addr| addr.is_multiple_of(OPERAND_ALIGN))
+    }
 }
 
 /// Byte images of the A and B operands of one request, exactly as
@@ -81,7 +104,7 @@ pub(crate) fn allocate_gemm_buffers_from_images(
     seed: u64,
     images: &OperandImages,
 ) -> GemmBuffers {
-    let align = 128;
+    let align = OPERAND_ALIGN;
     let a = sim.mem.alloc(images.a.len() as u64, align);
     sim.mem.write_bytes(a, &images.a);
     let b = sim.mem.alloc(images.b.len() as u64, align);
@@ -95,16 +118,16 @@ pub(crate) fn allocate_gemm_buffers_from_images(
     }
 }
 
-/// Allocate operand buffers for `cfg` in the simulator's memory, 128-byte
-/// aligned, optionally filled with seeded pseudo-random values (shared by
-/// the SME and Neon kernel handles so both backends see bit-identical
-/// operands for the same seed).
+/// Allocate operand buffers for `cfg` in the simulator's memory,
+/// [`OPERAND_ALIGN`]ed, optionally filled with seeded pseudo-random values
+/// (shared by the SME and Neon kernel handles so both backends see
+/// bit-identical operands for the same seed).
 pub(crate) fn allocate_gemm_buffers(
     cfg: &GemmConfig,
     sim: &mut Simulator,
     seed: Option<u64>,
 ) -> GemmBuffers {
-    let align = 128;
+    let align = OPERAND_ALIGN;
     let a_len = cfg.a_len();
     let b_len = cfg.b_len();
     let c_len = cfg.c_len();
@@ -169,11 +192,17 @@ pub struct CompiledKernel {
     cfg: GemmConfig,
     plan: BlockPlan,
     program: Program,
+    timing: OnceLock<ExecStats>,
 }
 
 impl CompiledKernel {
     pub(crate) fn new(cfg: GemmConfig, plan: BlockPlan, program: Program) -> Self {
-        CompiledKernel { cfg, plan, program }
+        CompiledKernel {
+            cfg,
+            plan,
+            program,
+            timing: OnceLock::new(),
+        }
     }
 
     /// The configuration the kernel was generated for.
@@ -207,9 +236,9 @@ impl CompiledKernel {
         self.cfg.flops()
     }
 
-    /// Allocate operand buffers in the simulator's memory, 128-byte aligned.
-    /// If `seed` is given, A, B and C are filled with deterministic
-    /// pseudo-random values; otherwise they are zero.
+    /// Allocate operand buffers in the simulator's memory,
+    /// [`OPERAND_ALIGN`]ed. If `seed` is given, A, B and C are filled with
+    /// deterministic pseudo-random values; otherwise they are zero.
     pub fn allocate_buffers(&self, sim: &mut Simulator, seed: Option<u64>) -> GemmBuffers {
         allocate_gemm_buffers(&self.cfg, sim, seed)
     }
@@ -226,10 +255,12 @@ impl CompiledKernel {
     }
 
     /// Model the kernel's performance on a single performance core and
-    /// return the execution statistics (timing-only run on untouched
-    /// operands).
-    pub fn model_stats(&self) -> ExecStats {
-        model_program_stats(&self.cfg, &self.program)
+    /// return the execution statistics (a timing-only run on untouched
+    /// operands, made on the first call and memoized — see
+    /// [`OPERAND_ALIGN`] for why the memo is exact).
+    pub fn model_stats(&self) -> &ExecStats {
+        self.timing
+            .get_or_init(|| model_program_stats(&self.cfg, &self.program))
     }
 
     /// Modelled FP32 throughput in GFLOPS on a single performance core.
@@ -433,6 +464,23 @@ impl RoutedKernel {
         sim.run(self.program(), &[bufs.a, bufs.b, bufs.c], opts)
     }
 
+    /// Serve one request: execute the kernel functionally on `bufs` and
+    /// return its memoized timing ([`RoutedKernel::model_stats`]), which is
+    /// bit-identical to what a full [`RunOptions::default`] run would
+    /// report — see [`OPERAND_ALIGN`].
+    ///
+    /// # Panics
+    /// Panics if an operand is not [`OPERAND_ALIGN`]ed, the placement the
+    /// memo is valid for.
+    pub fn serve(&self, sim: &mut Simulator, bufs: GemmBuffers) -> &ExecStats {
+        assert!(
+            bufs.is_aligned(),
+            "memoized timing needs {OPERAND_ALIGN}-byte aligned operands, got {bufs:x?}"
+        );
+        self.run(sim, bufs, &RunOptions::functional_only());
+        self.model_stats()
+    }
+
     /// Execute the kernel functionally on pseudo-random operands and return
     /// its validation error: the maximum **absolute** difference from the
     /// reference GEMM for FP32 kernels, the maximum **relative** error
@@ -447,8 +495,9 @@ impl RoutedKernel {
         }
     }
 
-    /// Model the kernel's performance on a single performance core.
-    pub fn model_stats(&self) -> ExecStats {
+    /// Model the kernel's performance on a single performance core
+    /// (memoized per kernel: the timing model runs on the first call only).
+    pub fn model_stats(&self) -> &ExecStats {
         match self {
             RoutedKernel::Sme(k) => k.model_stats(),
             RoutedKernel::Neon(k) => k.model_stats(),
@@ -527,6 +576,63 @@ mod tests {
         assert!(disasm.contains("smstart"));
         assert!(!disasm.is_empty());
         assert_eq!(kernel.flops(), 2 * 32 * 32 * 4);
+    }
+
+    #[test]
+    fn kernels_that_never_move_sp_back_no_stack() {
+        let fp32 = RoutedKernel::from(generate(&GemmConfig::abt(32, 32, 32)).unwrap());
+        let wide = crate::widening::WideningGemmConfig::new(32, 32, 32).unwrap();
+        let bf16 = RoutedKernel::from(crate::widening::generate_widening(&wide).unwrap());
+        for kernel in [fp32, bf16] {
+            let mut sim = Simulator::m4_performance();
+            let bufs = kernel.allocate_buffers(&mut sim, Some(3));
+            kernel.serve(&mut sim, bufs);
+            assert_eq!(sim.mem.stack_top(), sim.mem.stack_base());
+            assert!(
+                sim.mem.capacity() < 64 << 10,
+                "{:?}: {} bytes backed",
+                kernel.dtype(),
+                sim.mem.capacity()
+            );
+        }
+    }
+
+    #[test]
+    fn deepest_column_major_kernel_keeps_its_output_and_cycles() {
+        // K = 4096 is the deepest column-major kernel the generator emits:
+        // its transposed B panel fills the whole 512 KiB scratch bound.
+        let cfg = GemmConfig::ab(32, 32, 4096);
+        assert_eq!(crate::transpose::scratch_bytes(cfg.k), 512 << 10);
+        let kernel = generate(&cfg).unwrap();
+        assert_eq!(kernel.validate(7), 0.0, "bit-identical to gemm_reference");
+
+        let mut sim = Simulator::m4_performance();
+        let bufs = kernel.allocate_buffers(&mut sim, Some(7));
+        let stats = kernel.run(&mut sim, bufs, &RunOptions::default()).stats;
+        assert_eq!(sim.mem.stack_top() - sim.mem.stack_base(), 512 << 10);
+        // The cycle count measured when every simulator reserved a fixed
+        // 1 MiB stack: sizing the stack to the kernel moves no cycle.
+        assert_eq!(stats.cycles, 45900.65196755636);
+        assert_eq!(&stats, kernel.model_stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "aligned operands")]
+    fn serving_misaligned_operands_is_refused() {
+        let kernel = RoutedKernel::from(generate(&GemmConfig::abt(16, 16, 4)).unwrap());
+        let mut sim = Simulator::m4_performance();
+        let mut bufs = kernel.allocate_buffers(&mut sim, Some(1));
+        bufs.b += 4;
+        kernel.serve(&mut sim, bufs);
+    }
+
+    #[test]
+    fn model_stats_are_timed_once() {
+        let kernel = RoutedKernel::from(generate(&GemmConfig::abt(32, 32, 16)).unwrap());
+        let first: *const ExecStats = kernel.model_stats();
+        assert!(std::ptr::eq(first, kernel.model_stats()));
+        // Clones carry the memo along.
+        assert_eq!(kernel.clone().model_stats(), kernel.model_stats());
     }
 
     #[test]

@@ -77,10 +77,11 @@ pub use config::{
 };
 pub use dtype::{default_any_candidate, enumerate_any_candidates, AnyGemmConfig, Dtype};
 pub use generator::{
-    generate, generate_any_backend, generate_any_routed, generate_backend, generate_routed,
-    generate_tuned, generate_validated, generate_with_plan, kernel_stats, KernelStats,
+    backend_supports, generate, generate_any_backend, generate_any_routed, generate_backend,
+    generate_routed, generate_tuned, generate_validated, generate_with_plan, kernel_stats,
+    KernelStats,
 };
-pub use kernel::{CompiledKernel, GemmBuffers, OperandImages, RoutedKernel};
+pub use kernel::{CompiledKernel, GemmBuffers, OperandImages, RoutedKernel, OPERAND_ALIGN};
 pub use neon::{
     generate_neon_kernel, generate_neon_widening, neon_supports, neon_widening_supports,
     validate_neon, NeonKernel, NeonWideningKernel,

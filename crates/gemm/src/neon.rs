@@ -20,6 +20,8 @@ use sme_isa::inst::{NeonInst, ScalarInst};
 use sme_isa::regs::VReg;
 use sme_isa::types::NeonArrangement;
 use sme_isa::Program;
+use sme_machine::ExecStats;
+use std::sync::OnceLock;
 
 fn vr(n: u8) -> VReg {
     VReg::new(n)
@@ -425,6 +427,7 @@ fn emit_neon_block(
 pub struct NeonKernel {
     cfg: GemmConfig,
     program: Program,
+    timing: OnceLock<ExecStats>,
 }
 
 impl NeonKernel {
@@ -450,9 +453,11 @@ impl NeonKernel {
         crate::kernel::validate_program(&self.cfg, &self.program, seed)
     }
 
-    /// Model the kernel's performance on a single performance core.
-    pub fn model_stats(&self) -> sme_machine::ExecStats {
-        crate::kernel::model_program_stats(&self.cfg, &self.program)
+    /// Model the kernel's performance on a single performance core
+    /// (memoized: the timing model runs on the first call only).
+    pub fn model_stats(&self) -> &ExecStats {
+        self.timing
+            .get_or_init(|| crate::kernel::model_program_stats(&self.cfg, &self.program))
     }
 }
 
@@ -460,7 +465,11 @@ impl NeonKernel {
 /// path used by the `sme-runtime` cache for Neon-routed configurations.
 pub fn generate_neon_kernel(cfg: &GemmConfig) -> Result<NeonKernel, GemmError> {
     let program = generate_neon(cfg)?;
-    Ok(NeonKernel { cfg: *cfg, program })
+    Ok(NeonKernel {
+        cfg: *cfg,
+        program,
+        timing: OnceLock::new(),
+    })
 }
 
 /// Validate a Neon-generated kernel against the reference GEMM and return
@@ -525,6 +534,7 @@ pub fn neon_widening_supports(cfg: &WideningGemmConfig) -> Result<(), GemmError>
 pub struct NeonWideningKernel {
     cfg: WideningGemmConfig,
     program: Program,
+    timing: OnceLock<ExecStats>,
 }
 
 impl NeonWideningKernel {
@@ -561,13 +571,16 @@ impl NeonWideningKernel {
         )
     }
 
-    /// Timing-only execution statistics on one performance core.
-    pub fn model_stats(&self) -> sme_machine::ExecStats {
-        crate::widening::model_widening_program_stats(
-            &self.cfg,
-            &self.program,
-            WideningPackLayout::Mmla,
-        )
+    /// Timing-only execution statistics on one performance core
+    /// (memoized: the timing model runs on the first call only).
+    pub fn model_stats(&self) -> &ExecStats {
+        self.timing.get_or_init(|| {
+            crate::widening::model_widening_program_stats(
+                &self.cfg,
+                &self.program,
+                WideningPackLayout::Mmla,
+            )
+        })
     }
 }
 
@@ -598,6 +611,7 @@ pub fn generate_neon_widening(cfg: &WideningGemmConfig) -> Result<NeonWideningKe
     Ok(NeonWideningKernel {
         cfg: *cfg,
         program: asm.finish(),
+        timing: OnceLock::new(),
     })
 }
 

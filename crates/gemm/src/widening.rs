@@ -43,6 +43,7 @@ use sme_isa::types::ElementType;
 use sme_isa::Program;
 use sme_machine::exec::{RunOptions, Simulator};
 use sme_machine::ExecStats;
+use std::sync::OnceLock;
 
 /// Relative-error bound the widening validation paths assert against.
 ///
@@ -341,7 +342,7 @@ pub(crate) fn allocate_widening_buffers(
     seed: Option<u64>,
     layout: WideningPackLayout,
 ) -> crate::kernel::GemmBuffers {
-    let align = 128;
+    let align = crate::kernel::OPERAND_ALIGN;
     let (a_len, b_len) = match layout {
         WideningPackLayout::Interleaved => (cfg.packed_a_len(), cfg.packed_b_len()),
         WideningPackLayout::Mmla => (cfg.packed_a_mmla_len(), cfg.packed_b_mmla_len()),
@@ -463,7 +464,7 @@ pub(crate) fn allocate_widening_buffers_from_images(
     seed: u64,
     images: &crate::kernel::OperandImages,
 ) -> crate::kernel::GemmBuffers {
-    let align = 128;
+    let align = crate::kernel::OPERAND_ALIGN;
     let a = sim.mem.alloc(images.a.len() as u64, align);
     sim.mem.write_bytes(a, &images.a);
     let b = sim.mem.alloc(images.b.len() as u64, align);
@@ -500,6 +501,7 @@ pub struct WideningKernel {
     cfg: WideningGemmConfig,
     candidate: PlanCandidate,
     program: Program,
+    timing: OnceLock<ExecStats>,
 }
 
 impl WideningKernel {
@@ -546,9 +548,12 @@ impl WideningKernel {
         )
     }
 
-    /// Timing-only execution statistics on one performance core.
-    pub fn model_stats(&self) -> ExecStats {
-        model_widening_program_stats(&self.cfg, &self.program, WideningPackLayout::Interleaved)
+    /// Timing-only execution statistics on one performance core
+    /// (memoized: the timing model runs on the first call only).
+    pub fn model_stats(&self) -> &ExecStats {
+        self.timing.get_or_init(|| {
+            model_widening_program_stats(&self.cfg, &self.program, WideningPackLayout::Interleaved)
+        })
     }
 
     /// Modelled throughput (GFLOPS) on one performance core.
@@ -781,6 +786,7 @@ pub fn generate_widening_tuned(
         cfg,
         candidate: *candidate,
         program: asm.finish(),
+        timing: OnceLock::new(),
     })
 }
 

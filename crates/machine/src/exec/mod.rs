@@ -14,9 +14,46 @@ use crate::counters::ExecStats;
 use crate::mem::Memory;
 use crate::state::CoreState;
 use crate::timing::{MemModel, OpKind, Scoreboard};
-use sme_isa::inst::{Inst, NeonInst, SmeInst, SveInst};
+use sme_isa::inst::{Inst, NeonInst, ScalarInst, SmeInst, SveInst};
 use sme_isa::regs::XReg;
 use sme_isa::Program;
+
+/// Bytes of stack `program` reaches below its entry SP: the deepest point
+/// of its `sub sp, sp, #imm` / `add sp, sp, #imm` / `addvl sp, sp, #imm`
+/// chain, followed in program order.
+///
+/// Generated kernels move SP only in a straight-line prologue/epilogue
+/// pair, for which this is exact. Anything else — SP adjusted inside a
+/// loop, or set from another register — is caught at run time instead:
+/// [`Simulator::run`] panics as soon as SP leaves the backed stack.
+fn stack_reach(program: &Program, vl_bytes: u64) -> u64 {
+    let (mut depth, mut reach) = (0i64, 0i64);
+    for inst in program.insts() {
+        let grow = match *inst {
+            Inst::Scalar(ScalarInst::SubImm {
+                rd: XReg::SP,
+                rn: XReg::SP,
+                imm12,
+                shift12,
+            }) => (imm12 as i64) << if shift12 { 12 } else { 0 },
+            Inst::Scalar(ScalarInst::AddImm {
+                rd: XReg::SP,
+                rn: XReg::SP,
+                imm12,
+                shift12,
+            }) => -((imm12 as i64) << if shift12 { 12 } else { 0 }),
+            Inst::Sve(SveInst::AddVl {
+                rd: XReg::SP,
+                rn: XReg::SP,
+                imm,
+            }) => -(imm as i64) * vl_bytes as i64,
+            _ => continue,
+        };
+        depth = (depth + grow).max(0);
+        reach = reach.max(depth);
+    }
+    reach as u64
+}
 
 /// How much of the architectural semantics to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,11 +212,14 @@ impl Simulator {
     }
 
     /// Run a program. `args` are placed in X0, X1, … before execution; the
-    /// stack pointer is set to the top of a dedicated stack region.
+    /// stack pointer is set to the top of a dedicated stack region, backed
+    /// only as deep as the program's SP arithmetic reaches (page-granular,
+    /// so stack addresses keep their alignment whatever the depth).
     ///
     /// # Panics
-    /// Panics if the program exceeds `opts.max_instructions` (runaway loop)
-    /// or branches outside the program.
+    /// Panics if the program exceeds `opts.max_instructions` (runaway loop),
+    /// branches outside the program, or moves SP outside the backed stack
+    /// (it would otherwise scribble over operand buffers).
     pub fn run(&mut self, program: &Program, args: &[u64], opts: &RunOptions) -> RunResult {
         assert!(
             args.len() <= 8,
@@ -188,10 +228,11 @@ impl Simulator {
         for (i, arg) in args.iter().enumerate() {
             self.state.set_x(XReg::new(i as u8), *arg);
         }
-        if self.mem.stack_top() == 0 {
-            self.mem.init_stack();
-        }
-        self.state.set_x(XReg::SP, self.mem.stack_top());
+        let stack_top = self
+            .mem
+            .init_stack(stack_reach(program, self.config.svl.bytes() as u64));
+        let stack_base = self.mem.stack_base();
+        self.state.set_x(XReg::SP, stack_top);
 
         let timings = self.config.core(self.core_kind).clone();
         let mut scoreboard = opts.timing.then(|| Scoreboard::new(timings.clone()));
@@ -266,6 +307,14 @@ impl Simulator {
                     Outcome::Next
                 }
             };
+
+            let sp = self.state.x(XReg::SP);
+            assert!(
+                (stack_base..=stack_top).contains(&sp),
+                "stack pointer 0x{sp:x} left the simulated stack [0x{stack_base:x}, \
+                 0x{stack_top:x}] in program {}",
+                program.name()
+            );
 
             match outcome {
                 Outcome::Next => pc += 1,
@@ -425,8 +474,84 @@ mod tests {
         let mut b = Simulator::m4_performance();
         let full = a.run(&program, &[100], &RunOptions::default());
         let fast = b.run(&program, &[100], &RunOptions::timing_only());
-        assert_eq!(full.stats.instructions, fast.stats.instructions);
-        assert!((full.stats.cycles - fast.stats.cycles).abs() < 1e-6);
+        assert_eq!(
+            full.stats, fast.stats,
+            "cycles, profile, per-class counts and bytes all agree"
+        );
+    }
+
+    #[test]
+    fn stack_reach_follows_the_sp_chain_in_program_order() {
+        let mut a = Assembler::new("frames");
+        a.sub_imm(XReg::SP, XReg::SP, 0x8_0040);
+        a.add_imm(XReg::SP, XReg::SP, 0x8_0040);
+        a.sub_imm(XReg::SP, XReg::SP, 64);
+        a.push(SveInst::AddVl {
+            rd: XReg::SP,
+            rn: XReg::SP,
+            imm: -2,
+        });
+        // Writes to other registers, or from SP elsewhere, do not count.
+        a.sub_imm(x(9), XReg::SP, 0x1000);
+        a.ret();
+        assert_eq!(stack_reach(&a.finish(), 64), 0x8_0040);
+        assert_eq!(stack_reach(&neon_fmla_kernel(4), 64), 0);
+    }
+
+    /// `sub sp, sp, #16; str q0, [sp]` repeated `x0` times: SP arithmetic
+    /// inside a loop, which the static reach (16 bytes) cannot bound.
+    fn stack_walker() -> Program {
+        let mut a = Assembler::new("stack_walker");
+        let top = a.new_label();
+        a.bind(top);
+        a.sub_imm(XReg::SP, XReg::SP, 16);
+        a.push(NeonInst::StrQ {
+            vt: v(0),
+            rn: XReg::SP,
+            imm: 0,
+        });
+        a.push(ScalarInst::SubImm {
+            rd: x(0),
+            rn: x(0),
+            imm12: 1,
+            shift12: false,
+        });
+        a.cbnz(x(0), top);
+        a.ret();
+        a.finish()
+    }
+
+    #[test]
+    fn sp_leaving_the_stack_panics_before_touching_operands() {
+        let mut sim = Simulator::m4_performance();
+        let operand = sim.mem.alloc_f32(&[1.5; 1024], 128);
+        // Within the page the reach rounds up to, the walk is fine …
+        sim.run(&stack_walker(), &[256], &RunOptions::functional_only());
+        // … one step further would store below the stack, into `operand`.
+        let walked_off = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run(&stack_walker(), &[257], &RunOptions::functional_only())
+        }));
+        let payload = walked_off.expect_err("SP left the backed stack");
+        let message = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            message.contains("left the simulated stack") && message.contains("stack_walker"),
+            "{message}"
+        );
+        assert_eq!(sim.mem.read_f32_slice(operand, 1024), vec![1.5; 1024]);
+    }
+
+    #[test]
+    #[should_panic(expected = "left the simulated stack")]
+    fn sp_set_outside_the_stack_panics() {
+        let mut a = Assembler::new("sp_from_register");
+        a.push(ScalarInst::MovReg {
+            rd: XReg::SP,
+            rn: x(0),
+        });
+        a.ret();
+        let mut sim = Simulator::m4_performance();
+        let operand = sim.mem.alloc(64, 128);
+        let _ = sim.run(&a.finish(), &[operand + 64], &RunOptions::functional_only());
     }
 
     #[test]

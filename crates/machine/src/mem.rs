@@ -3,7 +3,9 @@
 //! The simulated address space starts at [`Memory::BASE`] (so that null
 //! pointers trap) and grows on demand. Matrices, scratch panels and stack
 //! space used by generated kernels all live here; the host never hands raw
-//! host pointers to simulated code.
+//! host pointers to simulated code. The stack is sized to the program that
+//! runs on it (see [`Memory::init_stack`]), so a kernel that never moves SP
+//! costs no stack memory at all.
 
 use serde::{Deserialize, Serialize};
 
@@ -12,6 +14,7 @@ use serde::{Deserialize, Serialize};
 pub struct Memory {
     data: Vec<u8>,
     next_alloc: u64,
+    stack_base: u64,
     stack_top: u64,
 }
 
@@ -19,15 +22,17 @@ impl Memory {
     /// Base address of the heap region. Address 0 is intentionally unmapped.
     pub const BASE: u64 = 0x1_0000;
 
-    /// Size reserved for the simulated stack at the top of the address
-    /// space in use.
-    pub const STACK_BYTES: u64 = 1 << 20;
+    /// Granule of the simulated stack: its top is aligned to, and its size
+    /// rounded up to, whole pages, so stack addresses keep the same
+    /// alignment (and hence the same modelled cost) whatever its size.
+    pub const STACK_ALIGN: u64 = 4096;
 
-    /// Create an empty memory with a stack but no heap allocations.
+    /// Create an empty memory with neither a stack nor heap allocations.
     pub fn new() -> Self {
         Memory {
             data: Vec::new(),
             next_alloc: Self::BASE,
+            stack_base: 0,
             stack_top: 0,
         }
     }
@@ -65,15 +70,29 @@ impl Memory {
         self.alloc((len * 4) as u64, align)
     }
 
-    /// Set up (or reset) the simulated stack and return the initial stack
-    /// pointer (the exclusive top of the stack region).
-    pub fn init_stack(&mut self) -> u64 {
-        let base = self.alloc(Self::STACK_BYTES, 4096);
-        self.stack_top = base + Self::STACK_BYTES;
+    /// Make sure a stack of at least `bytes` bytes is backed and return the
+    /// initial stack pointer (the exclusive, page-aligned top of the stack
+    /// region).
+    ///
+    /// A stack that is already large enough is kept, so repeated runs on
+    /// one memory reuse it. Otherwise a fresh region of `bytes` rounded up
+    /// to whole pages is allocated after everything allocated so far; the
+    /// old region is simply abandoned.
+    pub fn init_stack(&mut self, bytes: u64) -> u64 {
+        if self.stack_top == 0 || self.stack_top - self.stack_base < bytes {
+            let size = bytes.next_multiple_of(Self::STACK_ALIGN);
+            self.stack_base = self.alloc(size, Self::STACK_ALIGN);
+            self.stack_top = self.stack_base + size;
+        }
         self.stack_top
     }
 
-    /// The most recently initialised stack top (0 if none).
+    /// The lowest address of the current stack region (0 if none).
+    pub fn stack_base(&self) -> u64 {
+        self.stack_base
+    }
+
+    /// The current stack top (0 if none).
     pub fn stack_top(&self) -> u64 {
         self.stack_top
     }
@@ -241,11 +260,36 @@ mod tests {
     #[test]
     fn stack_setup() {
         let mut m = Memory::new();
-        let sp = m.init_stack();
+        let sp = m.init_stack(16);
         assert_eq!(sp, m.stack_top());
+        assert_eq!(sp % Memory::STACK_ALIGN, 0);
+        assert_eq!(
+            sp - m.stack_base(),
+            Memory::STACK_ALIGN,
+            "rounded to a page"
+        );
         // The stack grows downwards; writing just below the top must work.
         m.write_u64(sp - 8, 42);
         assert_eq!(m.read_u64(sp - 8), 42);
+    }
+
+    #[test]
+    fn stacks_are_sized_on_demand_and_reused() {
+        let mut m = Memory::new();
+        let a = m.alloc(100, 128);
+        // A program that never moves SP gets an empty, page-aligned stack.
+        let top = m.init_stack(0);
+        assert_eq!((m.stack_base(), top % Memory::STACK_ALIGN), (top, 0));
+        assert!(top > a);
+        // A stack large enough for the next program is kept …
+        assert_eq!(m.init_stack(0), top);
+        // … a deeper program gets a fresh region above everything else.
+        let b = m.alloc(100, 128);
+        let deep = m.init_stack(5000);
+        assert_eq!(deep - m.stack_base(), 2 * Memory::STACK_ALIGN);
+        assert!(m.stack_base() >= b + 100);
+        assert_eq!(m.init_stack(8192), deep);
+        assert_eq!(m.capacity(), 4 * Memory::STACK_ALIGN as usize);
     }
 
     #[test]

@@ -5,7 +5,8 @@ use crate::planner::{plan_batch_placed, GroupCost, PlacementPlan};
 use crate::policy::{heuristic_backend_any, RoutingPolicy};
 use crate::telemetry::{ShapeStats, TelemetryRegistry};
 use sme_gemm::{
-    default_any_candidate, neon_supports, AnyGemmConfig, Backend, GemmConfig, GemmError,
+    backend_supports, default_any_candidate, AnyGemmConfig, Backend, GemmConfig, GemmError,
+    RoutedKernel,
 };
 use sme_machine::multicore::MulticoreModel;
 use sme_machine::MachineConfig;
@@ -165,8 +166,8 @@ impl Router {
     /// across both engines. The SME generators are total over their
     /// datatypes' envelopes (widening edge tiles are predicated), so
     /// `SmeOnly` never needs a fallback; `NeonOnly` falls back to SME for
-    /// FP32 shapes off the Neon generator's envelope (column-major B —
-    /// odd extents compile via single-lane tails), so
+    /// shapes the Neon generators reject ([`backend_supports`]: FP32 with
+    /// column-major B — odd extents compile via single-lane tails), so
     /// pinning never makes a valid configuration undispatchable.
     pub fn route_any(&self, cfg: &AnyGemmConfig) -> Backend {
         self.route_any_traced(cfg, None)
@@ -178,9 +179,9 @@ impl Router {
     fn route_any_traced(&self, cfg: &AnyGemmConfig, parent: Option<TraceCtx>) -> Backend {
         match self.policy {
             RoutingPolicy::SmeOnly => Backend::Sme,
-            RoutingPolicy::NeonOnly => match cfg {
-                AnyGemmConfig::Fp32(c) if neon_supports(c).is_err() => Backend::Sme,
-                _ => Backend::Neon,
+            RoutingPolicy::NeonOnly => match backend_supports(cfg, Backend::Neon) {
+                Ok(()) => Backend::Neon,
+                Err(_) => Backend::Sme,
             },
             RoutingPolicy::Heuristic => match self.cache().lookup_tuned_any(cfg) {
                 Some(record) => record.candidate.backend,
@@ -195,19 +196,18 @@ impl Router {
 
     /// One-off model probe for the `Measured` policy: compile both
     /// backends' default kernels **through the cache** (so the subsequent
-    /// dispatch fetch of the winner is a hit, not a recompile), simulate
-    /// each once, memoize and return the faster engine.
+    /// dispatch fetch of the winner is a hit, not a recompile), compare
+    /// their (memoized) modelled cycles, memoize and return the faster
+    /// engine.
     fn measure(&self, cfg: &AnyGemmConfig, parent: Option<TraceCtx>) -> Backend {
         if let Some(&backend) = sme_runtime::poison::lock(&self.probe_memo, "probe memo").get(cfg) {
             return backend;
         }
-        let fetch = |backend| {
-            self.cache()
-                .fetch_any_traced(cfg, backend, parent)
-                .map(|(kernel, _)| kernel)
-        };
-        let backend = match (fetch(Backend::Sme), fetch(Backend::Neon)) {
-            (Ok(sme), Ok(neon)) => {
+        let backend = match (
+            self.fetch_compilable(cfg, Backend::Sme, parent),
+            self.fetch_compilable(cfg, Backend::Neon, parent),
+        ) {
+            (Some(sme), Some(neon)) => {
                 if neon.model_stats().cycles < sme.model_stats().cycles {
                     Backend::Neon
                 } else {
@@ -217,18 +217,35 @@ impl Router {
             // Shapes only one engine can compile route there; invalid
             // configurations fall through to the datatype's default
             // engine, whose generator reports the error at dispatch time.
-            (Ok(_), Err(_)) => Backend::Sme,
-            (Err(_), Ok(_)) => Backend::Neon,
-            (Err(_), Err(_)) => default_any_candidate(cfg).backend,
+            (Some(_), None) => Backend::Sme,
+            (None, Some(_)) => Backend::Neon,
+            (None, None) => default_any_candidate(cfg).backend,
         };
         sme_runtime::poison::lock(&self.probe_memo, "probe memo").insert(*cfg, backend);
         backend
     }
 
+    /// Fetch `cfg`'s kernel for `backend` through the cache, or `None` when
+    /// the backend cannot compile it. Compilability is checked first
+    /// ([`backend_supports`]), so an engine that rejects the shape is never
+    /// asked and never shows up as a cache miss.
+    fn fetch_compilable(
+        &self,
+        cfg: &AnyGemmConfig,
+        backend: Backend,
+        parent: Option<TraceCtx>,
+    ) -> Option<Arc<RoutedKernel>> {
+        backend_supports(cfg, backend).ok()?;
+        self.cache()
+            .fetch_any_traced(cfg, backend, parent)
+            .ok()
+            .map(|(kernel, _)| kernel)
+    }
+
     /// The group's total simulated cycles on `backend` (the serving
-    /// kernel's modelled cycles × request count), `None` when the backend
-    /// cannot compile the shape. Compiles through the cache, so the cost
-    /// probe doubles as a cache warm-up for the dispatch that follows.
+    /// kernel's memoized modelled cycles × request count), `None` when the
+    /// backend cannot compile the shape. Compiles through the cache, so the
+    /// cost probe doubles as a cache warm-up for the dispatch that follows.
     fn simulated_group_cycles(
         &self,
         cfg: &AnyGemmConfig,
@@ -236,10 +253,8 @@ impl Router {
         requests: u64,
         parent: Option<TraceCtx>,
     ) -> Option<f64> {
-        self.cache()
-            .fetch_any_traced(cfg, backend, parent)
-            .ok()
-            .map(|(kernel, _)| kernel.model_stats().cycles * requests as f64)
+        self.fetch_compilable(cfg, backend, parent)
+            .map(|kernel| kernel.model_stats().cycles * requests as f64)
     }
 
     /// Dispatch a batch with placement-aware routing. Batches may mix FP32
@@ -265,8 +280,11 @@ impl Router {
     /// routes and the decay clock advances by one epoch per batch.
     ///
     /// # Errors
-    /// Propagates the service's errors (first invalid configuration fails
-    /// the batch); telemetry records only successfully dispatched batches.
+    /// None in practice: the `Result` is kept for API stability. A request
+    /// that fails — an invalid configuration, or a group that fails on both
+    /// backends — is reported per request in the batch's
+    /// [`sme_runtime::BatchReport::failures`] while the rest of the batch
+    /// completes (see [`GemmService::dispatch_routed`]).
     pub fn dispatch(&self, requests: &[GemmRequest]) -> Result<RoutedBatchReport, GemmError> {
         let dispatch_started = Instant::now();
         // The batch root: every child span of this dispatch — placement,
@@ -520,6 +538,26 @@ mod tests {
         assert_eq!(
             router.cache().lookup_tuned(&cfg).unwrap().candidate.backend,
             Backend::Neon
+        );
+    }
+
+    #[test]
+    fn placement_never_fetches_a_kernel_its_backend_cannot_compile() {
+        // Neon cannot compile column-major B: neither the Measured probe
+        // nor the placement costing may ask the cache for that kernel.
+        let router = Router::new(8);
+        let cfg = GemmConfig::ab(32, 16, 8);
+        let requests: Vec<GemmRequest> = (0..3).map(|i| GemmRequest::fp32(cfg, i)).collect();
+        for _ in 0..2 {
+            let report = router.dispatch(&requests).unwrap();
+            assert!(report.batch.failures.is_empty());
+            assert_eq!(report.batch.per_config[0].backend, Backend::Sme);
+        }
+        let stats = router.cache().stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (4, 1),
+            "one SME compile; placement and dispatch hit it"
         );
     }
 

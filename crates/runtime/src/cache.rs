@@ -246,15 +246,7 @@ impl KernelCache {
             .lookup_any(cfg)
             .map(|record| record.candidate.backend)
             .unwrap_or(fallback);
-        let compilable = match (cfg, backend) {
-            (AnyGemmConfig::Fp32(c), Backend::Neon) => sme_gemm::neon_supports(c).is_ok(),
-            (AnyGemmConfig::Fp32(_), Backend::Sme) => true,
-            (AnyGemmConfig::WideningBf16(c), Backend::Sme) => {
-                sme_gemm::sme_widening_supports(c).is_ok()
-            }
-            (AnyGemmConfig::WideningBf16(_), Backend::Neon) => true,
-        };
-        if compilable {
+        if sme_gemm::backend_supports(cfg, backend).is_ok() {
             backend
         } else {
             fallback

@@ -3,9 +3,14 @@
 //! Production code asks two questions at well-known *sites* — "should this
 //! operation fail now?" ([`fire`]) and "should these bytes be corrupted?"
 //! ([`corrupt_bytes`]) — and both answer `false` unless a [`FaultInjector`]
-//! has been installed process-wide with [`install_injector`]. The fast path
-//! is a single relaxed atomic load, so production dispatch pays nothing for
-//! the hooks.
+//! has been installed with [`install_injector`]. The fast path is a single
+//! relaxed atomic load, so production dispatch pays nothing for the hooks.
+//!
+//! An injector is scoped to the thread that installs it and to the work
+//! that thread hands to the service's worker pool (the service carries it
+//! across the hop with [`current_injector`] and [`enter`]). Two tests, or
+//! two harnesses, running concurrently in one process therefore never
+//! receive each other's faults.
 //!
 //! The stock injector is [`FaultPlan`]: a *seeded, deterministic* schedule
 //! that counts occurrences per `(kind, site)` pair and fires each rule on an
@@ -20,10 +25,11 @@
 //! of an SME-routed group" without the production code knowing anything
 //! about the schedule.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// The kinds of fault the serving stack knows how to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,59 +97,97 @@ pub trait FaultInjector: Send + Sync + fmt::Debug {
     }
 }
 
-/// Fast-path arm flag: `false` means no injector has ever been installed
-/// (or it has been cleared) and [`fire`] returns immediately.
-static ARMED: AtomicBool = AtomicBool::new(false);
+/// Fast-path hint: how many threads have an injector installed. Zero
+/// means [`fire`] and [`corrupt_bytes`] return immediately. It guards no
+/// data — each thread's injector lives in its own [`SCOPED`] slot — so
+/// relaxed ordering suffices: a thread always sees its own increment.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
 
-fn injector_slot() -> &'static Mutex<Option<Arc<dyn FaultInjector>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<dyn FaultInjector>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
+thread_local! {
+    /// The injector installed on this thread, if any.
+    static SCOPED: RefCell<Option<Arc<dyn FaultInjector>>> = const { RefCell::new(None) };
 }
 
-/// Install a process-wide fault injector. Replaces any previous injector.
+/// Put `injector` in this thread's slot, keeping [`ARMED`] in step, and
+/// return what was there.
+fn swap_scoped(injector: Option<Arc<dyn FaultInjector>>) -> Option<Arc<dyn FaultInjector>> {
+    let armed = injector.is_some();
+    let previous = SCOPED.with(|slot| slot.replace(injector));
+    match (previous.is_some(), armed) {
+        (false, true) => {
+            ARMED.fetch_add(1, Ordering::Relaxed);
+        }
+        (true, false) => {
+            ARMED.fetch_sub(1, Ordering::Relaxed);
+        }
+        _ => {}
+    }
+    previous
+}
+
+/// Install a fault injector for the calling thread (and the worker-pool
+/// work it dispatches). Replaces any injector the thread had.
 pub fn install_injector(injector: Arc<dyn FaultInjector>) {
-    let mut slot = injector_slot().lock().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(injector);
-    ARMED.store(true, Ordering::Release);
+    swap_scoped(Some(injector));
 }
 
-/// Remove the process-wide fault injector; subsequent [`fire`] calls are
-/// free again.
+/// Remove the calling thread's fault injector; its subsequent [`fire`]
+/// calls are free again.
 pub fn clear_injector() {
-    let mut slot = injector_slot().lock().unwrap_or_else(|e| e.into_inner());
-    *slot = None;
-    ARMED.store(false, Ordering::Release);
+    swap_scoped(None);
 }
 
-/// Is a fault injector currently installed?
+/// Is a fault injector installed on the calling thread?
 pub fn injection_armed() -> bool {
-    ARMED.load(Ordering::Acquire)
+    current_injector().is_some()
 }
 
-/// Ask the installed injector (if any) whether `(kind, site)` should fail
-/// now. Production fast path: one relaxed atomic load when disarmed.
+/// The calling thread's injector, for carrying into worker threads with
+/// [`enter`].
+pub fn current_injector() -> Option<Arc<dyn FaultInjector>> {
+    if ARMED.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    SCOPED.with(|slot| slot.borrow().clone())
+}
+
+/// Restores a thread's previous injector when dropped (see [`enter`]).
+#[must_use = "the injector is uninstalled when the guard drops"]
+pub struct InjectorScope {
+    previous: Option<Option<Arc<dyn FaultInjector>>>,
+}
+
+impl Drop for InjectorScope {
+    fn drop(&mut self) {
+        if let Some(previous) = self.previous.take() {
+            swap_scoped(previous);
+        }
+    }
+}
+
+/// Install `injector` (typically another thread's [`current_injector`]) on
+/// the calling thread until the returned guard drops. Entering `None` on a
+/// thread without an injector costs one atomic load.
+pub fn enter(injector: Option<Arc<dyn FaultInjector>>) -> InjectorScope {
+    if injector.is_none() && ARMED.load(Ordering::Relaxed) == 0 {
+        return InjectorScope { previous: None };
+    }
+    InjectorScope {
+        previous: Some(swap_scoped(injector)),
+    }
+}
+
+/// Ask the calling thread's injector (if any) whether `(kind, site)`
+/// should fail now. Production fast path: one relaxed atomic load when
+/// disarmed.
 pub fn fire(kind: FaultKind, site: &str) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    let slot = injector_slot().lock().unwrap_or_else(|e| e.into_inner());
-    match slot.as_ref() {
-        Some(injector) => injector.should_fire(kind, site),
-        None => false,
-    }
+    current_injector().is_some_and(|injector| injector.should_fire(kind, site))
 }
 
-/// Ask the installed injector (if any) to corrupt bytes about to be written
-/// at `site`. Returns `true` if the buffer was changed.
+/// Ask the calling thread's injector (if any) to corrupt bytes about to be
+/// written at `site`. Returns `true` if the buffer was changed.
 pub fn corrupt_bytes(site: &str, bytes: &mut [u8]) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    let slot = injector_slot().lock().unwrap_or_else(|e| e.into_inner());
-    match slot.as_ref() {
-        Some(injector) => injector.corrupt(site, bytes),
-        None => false,
-    }
+    current_injector().is_some_and(|injector| injector.corrupt(site, bytes))
 }
 
 /// How a [`FaultRule`] selects sites.
@@ -372,6 +416,45 @@ mod tests {
         let events = plan.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, FaultKind::SnapshotCorrupt);
+    }
+
+    #[test]
+    fn injectors_are_scoped_to_their_thread_and_carried_explicitly() {
+        let plan = Arc::new(FaultPlan::with_rules(
+            0,
+            vec![FaultRule {
+                kind: FaultKind::GroupPanic,
+                pattern: SitePattern::Any,
+                occurrence: 1,
+            }],
+        ));
+        install_injector(plan.clone());
+        assert!(injection_armed());
+        let carried = current_injector();
+        std::thread::scope(|scope| {
+            // A concurrent thread never sees this thread's injector …
+            scope
+                .spawn(|| {
+                    assert!(!injection_armed());
+                    assert!(!fire(FaultKind::GroupPanic, "elsewhere"));
+                })
+                .join()
+                .unwrap();
+            // … unless it is carried across, as the service does for its
+            // workers; the guard uninstalls it again.
+            scope
+                .spawn(|| {
+                    let scope = enter(carried.clone());
+                    assert!(fire(FaultKind::GroupPanic, "worker"));
+                    drop(scope);
+                    assert!(!injection_armed());
+                })
+                .join()
+                .unwrap();
+        });
+        assert_eq!(plan.events().len(), 1, "only the carried site fired");
+        clear_injector();
+        assert!(!injection_armed());
     }
 
     #[test]

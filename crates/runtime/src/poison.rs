@@ -94,8 +94,14 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// `recovered_total` is process-wide, so the two tests below, which
+    /// assert exact deltas of it, must not interleave under the parallel
+    /// test runner.
+    static COUNTER_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn poisoned_mutexes_are_recovered_and_counted() {
+        let _serial = COUNTER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let mutex = Arc::new(Mutex::new(41));
         let clone = Arc::clone(&mutex);
         let _ = std::thread::spawn(move || {
@@ -119,6 +125,7 @@ mod tests {
 
     #[test]
     fn poisoned_rwlocks_are_recovered_on_both_paths() {
+        let _serial = COUNTER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let rw = Arc::new(RwLock::new(vec![1, 2, 3]));
         let clone = Arc::clone(&rw);
         let _ = std::thread::spawn(move || {

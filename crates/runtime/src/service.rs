@@ -6,7 +6,10 @@
 //! groups them by configuration, fetches each group's kernel from the cache
 //! exactly once, and fans the groups out across host threads via `rayon` —
 //! each group executing its requests back to back on a private single-core
-//! simulator, the way one core of the machine would serve them.
+//! simulator, the way one core of the machine would serve them. Requests
+//! run functional-only: each kernel is timed once, on first use, and every
+//! request adds that memoized timing (see [`sme_gemm::OPERAND_ALIGN`] for
+//! why this equals a per-request timing run bit for bit).
 //! [`ExecStats`] are aggregated per configuration and for the whole batch,
 //! and [`BatchReport::makespan_cycles`] projects the per-core totals onto a
 //! multi-core machine with an LPT schedule.
@@ -25,7 +28,7 @@ use crate::fault::{self, FaultKind};
 use crate::tuner::{self, TuneOutcome, TunerOptions};
 use rayon::prelude::*;
 use sme_gemm::{AnyGemmConfig, Backend, Dtype, GemmConfig, GemmError, WideningGemmConfig};
-use sme_machine::exec::{RunOptions, Simulator};
+use sme_machine::exec::Simulator;
 use sme_machine::ExecStats;
 use sme_obs::TraceCtx;
 use std::collections::HashMap;
@@ -327,9 +330,13 @@ impl GemmService {
             pack_hits: usize,
             fallback_from: Option<Backend>,
         }
+        // Fault injection is scoped to the dispatching thread; carry its
+        // injector (if any) across the hop to the workers.
+        let faults = fault::current_injector();
         let results: Vec<(usize, Result<GroupRun, ServeError>)> = exec_order
             .par_iter()
             .map(|&g| {
+                let _faults = fault::enter(faults.clone());
                 let (config, indices) = &groups[g];
                 let routed = route(config);
                 // One attempt on one backend. `inject` arms the
@@ -383,8 +390,10 @@ impl GemmService {
                         let (images, pack_hit) = self.cache.packs().get_or_pack(&kernel, seed);
                         pack_hits += pack_hit as usize;
                         let bufs = kernel.allocate_buffers_packed(&mut sim, seed, &images);
-                        let result = kernel.run(&mut sim, bufs, &RunOptions::default());
-                        stats.merge(&result.stats);
+                        // Functional-only execution plus the kernel's
+                        // memoized timing, merged once per request so the
+                        // sums are those of per-request full runs.
+                        stats.merge(kernel.serve(&mut sim, bufs));
                         outputs.push((index, sim.mem.read_f32_slice(bufs.c, config.c_len())));
                     }
                     if let Some(hub) = self.cache.obs() {

@@ -6,17 +6,18 @@
 //! mixed-batch dispatch grouping.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sme_gemm::{generate, GemmConfig};
+use sme_gemm::{generate, AnyGemmConfig, GemmConfig};
 use sme_runtime::{GemmRequest, GemmService, KernelCache};
 use std::hint::black_box;
 
 fn bench_hit_vs_generation(c: &mut Criterion) {
     let cfg = GemmConfig::abt(128, 128, 512);
 
+    let key = AnyGemmConfig::Fp32(cfg);
     let cache = KernelCache::new(16);
-    cache.get_or_compile(&cfg).unwrap();
+    cache.get_or_compile_any(&key).unwrap();
     c.bench_function("cache_hit_128x128x512", |b| {
-        b.iter(|| cache.get_or_compile(black_box(&cfg)).unwrap())
+        b.iter(|| cache.get_or_compile_any(black_box(&key)).unwrap())
     });
 
     c.bench_function("fresh_generation_128x128x512", |b| {

@@ -4,13 +4,13 @@
 //! and a read of the kernel's memoized timing.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sme_gemm::{generate, GemmConfig, RoutedKernel};
+use sme_gemm::{generate, GemmConfig};
 use sme_machine::exec::{RunOptions, Simulator};
 use std::hint::black_box;
 
 fn bench_simulator(c: &mut Criterion) {
     let cfg = GemmConfig::abt(64, 64, 64);
-    let kernel = RoutedKernel::from(generate(&cfg).unwrap());
+    let kernel = generate(&cfg).unwrap();
     let mut sim = Simulator::m4_performance();
     let bufs = kernel.allocate_buffers(&mut sim, Some(1));
     let insts = {

@@ -4,8 +4,8 @@
 //! throughput for one representative problem.
 
 use sme_bench::SweepOptions;
-use sme_gemm::neon::{emit_neon_16x6_k_step, model_neon_gflops, MicrokernelComparison};
-use sme_gemm::{generate, GemmConfig};
+use sme_gemm::neon::{emit_neon_16x6_k_step, MicrokernelComparison};
+use sme_gemm::{generate, generate_any_backend, Backend, GemmConfig};
 use sme_isa::asm::Assembler;
 use sme_isa::inst::Inst;
 
@@ -51,7 +51,9 @@ fn main() {
     // Modelled end-to-end comparison on one representative small GEMM.
     let cfg = GemmConfig::abt(64, 64, 256);
     let sme = generate(&cfg).map(|k| k.model_gflops()).unwrap_or(0.0);
-    let neon = model_neon_gflops(&cfg).unwrap_or(0.0);
+    let neon = generate_any_backend(&cfg.into(), Backend::Neon)
+        .map(|k| k.model_gflops())
+        .unwrap_or(0.0);
     println!("\nmodelled throughput for C += A*B^T, M=N=64, K=256:");
     println!("  SME generated kernel : {sme:7.0} GFLOPS");
     println!("  Neon generated kernel: {neon:7.0} GFLOPS");

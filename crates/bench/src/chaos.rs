@@ -356,7 +356,7 @@ fn verify_bit_correct(report: &mut ChaosReport, observed: &[Observed]) {
     let mut mismatched = 0;
     for entry in observed {
         let key = (entry.request.config, entry.request.seed, entry.backend);
-        if !reference.contains_key(&key) {
+        let clean = reference.entry(key).or_insert_with(|| {
             let clean = service
                 .dispatch_routed(std::slice::from_ref(&entry.request), |_| entry.backend)
                 .expect("chaos shapes are valid");
@@ -365,9 +365,9 @@ fn verify_bit_correct(report: &mut ChaosReport, observed: &[Observed]) {
                 "the clean reference dispatch cannot fail: {:?}",
                 clean.failures
             );
-            reference.insert(key, clean.outputs[0].clone());
-        }
-        if reference[&key] != entry.output {
+            clean.outputs[0].clone()
+        });
+        if *clean != entry.output {
             mismatched += 1;
         }
     }

@@ -374,15 +374,15 @@ pub fn tuner_sweep(opts: &TunerSweepOptions, store: &mut sme_runtime::PlanStore)
         .sizes()
         .par_iter()
         .map(|&mn| {
-            let cfg = GemmConfig::abt(mn, mn, k);
-            let outcome = sme_runtime::tune(&cfg, &tuner_opts)
+            let cfg = GemmConfig::abt(mn, mn, k).into();
+            let outcome = sme_runtime::tune_any(&cfg, &tuner_opts)
                 .expect("sweep configurations are valid by construction");
             (mn, outcome)
         })
         .collect();
     let mut points = Vec::with_capacity(outcomes.len());
     for (mn, outcome) in outcomes {
-        store.insert(&GemmConfig::abt(mn, mn, k), outcome.record());
+        store.insert_any(&GemmConfig::abt(mn, mn, k).into(), outcome.record());
         points.push(TunerSweepPoint {
             mn,
             default_cycles: outcome.default_cycles,
@@ -1663,7 +1663,7 @@ mod tests {
         // The persisted store round-trips and serves the swept shapes.
         let reloaded = sme_runtime::PlanStore::from_json(&store.to_json()).unwrap();
         assert!(reloaded
-            .lookup(&GemmConfig::abt(32, 32, opts.sweep.k))
+            .lookup_any(&GemmConfig::abt(32, 32, opts.sweep.k).into())
             .is_some());
         let text = render_tuner_sweep(&sweep);
         assert!(text.contains("never slower"));

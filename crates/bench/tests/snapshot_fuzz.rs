@@ -25,7 +25,7 @@ fn plan_docs() -> [String; 2] {
         tuned_cycles: 100.0,
         default_cycles: 150.0,
     };
-    store.insert(&cfg, record);
+    store.insert_any(&cfg.into(), record);
     let v2 = r#"{"version": 2, "entries": [{"m": 48, "n": 48, "k": 16, "lda": 48,
         "ldb": 48, "ldc": 48, "b_layout": "RowMajor", "beta": "One",
         "backend": "Sme", "plan": "Homogeneous16x64", "c_transfer": "Direct",

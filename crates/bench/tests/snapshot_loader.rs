@@ -30,7 +30,7 @@ fn plan_docs() -> [String; 2] {
             tuned_cycles: 1.0,
             default_cycles: 1.0,
         };
-        store.insert(&shape(i), record);
+        store.insert_any(&shape(i).into(), record);
         store.to_json()
     })
 }

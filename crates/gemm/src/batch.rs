@@ -2,13 +2,14 @@
 //!
 //! LIBXSMM's small GEMMs are typically executed many times per time step —
 //! for example once per element in a high-order finite-element code. This
-//! module provides a thin batched driver over a single [`CompiledKernel`]:
-//! one kernel, many operand triples, aggregated statistics.
+//! module provides a thin batched driver over a single SME FP32
+//! [`RoutedKernel`]: one kernel, many operand triples, aggregated
+//! statistics.
 
 use crate::config::GemmConfig;
 use crate::config::GemmError;
 use crate::generator::generate;
-use crate::kernel::{CompiledKernel, GemmBuffers};
+use crate::kernel::{GemmBuffers, RoutedKernel};
 use crate::reference::fill_matrix;
 use sme_machine::exec::{RunOptions, Simulator};
 use sme_machine::ExecStats;
@@ -16,7 +17,7 @@ use sme_machine::ExecStats;
 /// A batch of identical small GEMMs sharing one generated kernel.
 #[derive(Debug, Clone)]
 pub struct BatchedGemm {
-    kernel: CompiledKernel,
+    kernel: RoutedKernel,
 }
 
 impl BatchedGemm {
@@ -28,14 +29,14 @@ impl BatchedGemm {
     }
 
     /// The underlying kernel.
-    pub fn kernel(&self) -> &CompiledKernel {
+    pub fn kernel(&self) -> &RoutedKernel {
         &self.kernel
     }
 
     /// Allocate `count` operand triples in the simulator's memory, filled
     /// with deterministic pseudo-random data derived from `seed`.
     pub fn allocate_batch(&self, sim: &mut Simulator, count: usize, seed: u64) -> Vec<GemmBuffers> {
-        let cfg = self.kernel.config();
+        let cfg = self.kernel.fp32_config().expect("batches run FP32 kernels");
         (0..count)
             .map(|i| {
                 let mut a = vec![0.0f32; cfg.a_len()];

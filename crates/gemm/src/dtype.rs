@@ -7,7 +7,9 @@
 //! an FP32 kernel ([`GemmConfig`]) or a BF16 → FP32 widening kernel
 //! ([`WideningGemmConfig`]) — the paper's §IV.D / §V second workload
 //! family. Code that is generic over the datatype matches once here and
-//! never again downstream.
+//! never again downstream; the one choice that also depends on the engine,
+//! the operand packing, is made once by
+//! [`crate::RoutedKernel::operand_layout`].
 
 use crate::blocking::PlanCandidate;
 use crate::config::{GemmConfig, GemmError};

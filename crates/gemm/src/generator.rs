@@ -4,7 +4,7 @@ use crate::blocking::{
     pipeline_supported, plan_column_panels, plan_for_config, BlockPlan, PlanCandidate, PlanKind,
 };
 use crate::config::{BLayout, Backend, Beta, GemmConfig, GemmError, KernelSchedule};
-use crate::kernel::{CompiledKernel, RoutedKernel};
+use crate::kernel::RoutedKernel;
 use crate::loads::{emit_c_transfer, emit_zero_tiles, TransferDir};
 use crate::microkernel::{
     emit_block, emit_block_predicates, emit_c_pointer, emit_pipeline_prologue,
@@ -21,10 +21,10 @@ const MAX_SCRATCH_BYTES: usize = 512 * 1024;
 
 /// Generate an SME small-GEMM kernel for `cfg`.
 ///
-/// The returned [`CompiledKernel`] owns the finished instruction stream (and
-/// can lower it to AArch64 machine code bytes); it is executed on the
-/// `sme-machine` simulator.
-pub fn generate(cfg: &GemmConfig) -> Result<CompiledKernel, GemmError> {
+/// The returned [`RoutedKernel`] owns the finished instruction stream and
+/// the block plan (and can lower the stream to AArch64 machine code bytes);
+/// it is executed on the `sme-machine` simulator.
+pub fn generate(cfg: &GemmConfig) -> Result<RoutedKernel, GemmError> {
     generate_with_plan(cfg, None)
 }
 
@@ -49,7 +49,7 @@ pub fn generate(cfg: &GemmConfig) -> Result<CompiledKernel, GemmError> {
 pub fn generate_with_plan(
     cfg: &GemmConfig,
     plan_override: Option<BlockPlan>,
-) -> Result<CompiledKernel, GemmError> {
+) -> Result<RoutedKernel, GemmError> {
     cfg.validate()?;
     if cfg.b_layout == BLayout::ColMajor && plan_override.is_some() {
         return Err(GemmError::Unsupported(
@@ -159,7 +159,12 @@ pub fn generate_with_plan(
     asm.push(SmeInst::Smstop { za_only: false });
     asm.ret();
 
-    Ok(CompiledKernel::new(*cfg, plan, asm.finish()))
+    Ok(RoutedKernel::new(
+        *cfg,
+        Backend::Sme,
+        Some(plan),
+        asm.finish(),
+    ))
 }
 
 /// Generate a kernel for `cfg` rewritten with a tuning candidate — the
@@ -176,16 +181,16 @@ pub fn generate_with_plan(
 /// Returns an error if the rewritten configuration is invalid, if the
 /// candidate's plan kind is incompatible with the layout (anything other
 /// than [`PlanKind::ColumnPanels`] for column-major B), or if the candidate
-/// targets the Neon backend (use [`generate_routed`] for backend-agnostic
-/// generation).
+/// targets the Neon backend (use [`generate_any_routed`] for
+/// backend-agnostic generation).
 pub fn generate_tuned(
     cfg: &GemmConfig,
     candidate: &PlanCandidate,
-) -> Result<CompiledKernel, GemmError> {
+) -> Result<RoutedKernel, GemmError> {
     if candidate.backend != Backend::Sme {
         return Err(GemmError::Unsupported(format!(
             "generate_tuned emits SME kernels only; a {} candidate must go \
-             through generate_routed",
+             through generate_any_routed",
             candidate.backend
         )));
     }
@@ -196,35 +201,6 @@ pub fn generate_tuned(
         Some(candidate.kind.build(tuned_cfg.m, tuned_cfg.n))
     };
     generate_with_plan(&tuned_cfg, plan_override)
-}
-
-/// Generate the default kernel for `cfg` on the given backend.
-///
-/// [`Backend::Sme`] is [`generate`]; [`Backend::Neon`] is
-/// [`crate::neon::generate_neon_kernel`] (which rejects configurations the
-/// Neon generator does not support — see [`crate::neon::neon_supports`]).
-pub fn generate_backend(cfg: &GemmConfig, backend: Backend) -> Result<RoutedKernel, GemmError> {
-    match backend {
-        Backend::Sme => generate(cfg).map(RoutedKernel::Sme),
-        Backend::Neon => crate::neon::generate_neon_kernel(cfg).map(RoutedKernel::Neon),
-    }
-}
-
-/// Generate a kernel for `cfg` from a (possibly cross-backend) tuning
-/// candidate — the dispatch path used by the backend-tagged kernel cache
-/// and the cross-backend autotuner.
-///
-/// SME candidates go through [`generate_tuned`]; the Neon candidate's plan
-/// kind and knobs are inert (the Neon generator's 16×4 blocking is fixed)
-/// and the configuration compiles as-is.
-pub fn generate_routed(
-    cfg: &GemmConfig,
-    candidate: &PlanCandidate,
-) -> Result<RoutedKernel, GemmError> {
-    match candidate.backend {
-        Backend::Sme => generate_tuned(cfg, candidate).map(RoutedKernel::Sme),
-        Backend::Neon => crate::neon::generate_neon_kernel(cfg).map(RoutedKernel::Neon),
-    }
 }
 
 /// Check whether `backend`'s default generator accepts a configuration of
@@ -254,52 +230,54 @@ pub fn backend_supports(cfg: &crate::AnyGemmConfig, backend: Backend) -> Result<
 }
 
 /// Generate the default kernel for a configuration of either datatype on
-/// the given backend — the dtype-generic twin of [`generate_backend`].
+/// the given backend.
 ///
-/// FP32 dispatches to [`generate`] / [`crate::neon::generate_neon_kernel`];
+/// FP32 dispatches to [`generate`] / [`crate::neon::generate_neon`];
 /// widening BF16 to [`crate::widening::generate_widening`] /
 /// [`crate::neon::generate_neon_widening`]. Each inner generator rejects
-/// configurations off its grid (see [`crate::neon::neon_supports`] and
-/// [`crate::widening::sme_widening_supports`]).
+/// configurations off its grid (see [`backend_supports`]).
 pub fn generate_any_backend(
     cfg: &crate::AnyGemmConfig,
     backend: Backend,
 ) -> Result<RoutedKernel, GemmError> {
-    match cfg {
-        crate::AnyGemmConfig::Fp32(c) => generate_backend(c, backend),
-        crate::AnyGemmConfig::WideningBf16(c) => match backend {
-            Backend::Sme => crate::widening::generate_widening(c).map(RoutedKernel::WideningSme),
-            Backend::Neon => crate::neon::generate_neon_widening(c).map(RoutedKernel::WideningNeon),
-        },
+    match (cfg, backend) {
+        (crate::AnyGemmConfig::Fp32(c), Backend::Sme) => generate(c),
+        (crate::AnyGemmConfig::Fp32(c), Backend::Neon) => crate::neon::generate_neon(c)
+            .map(|program| RoutedKernel::new(*c, Backend::Neon, None, program)),
+        (crate::AnyGemmConfig::WideningBf16(c), Backend::Sme) => {
+            crate::widening::generate_widening(c)
+        }
+        (crate::AnyGemmConfig::WideningBf16(c), Backend::Neon) => {
+            crate::neon::generate_neon_widening(c)
+        }
     }
 }
 
 /// Generate a kernel for a configuration of either datatype from a
-/// cross-backend tuning candidate — the dtype-generic twin of
-/// [`generate_routed`].
+/// cross-backend tuning candidate — the dispatch path used by the
+/// backend-tagged kernel cache and the cross-backend autotuner.
 ///
-/// Widening SME candidates go through
-/// [`crate::widening::generate_widening_tuned`]; the widening Neon
-/// candidate's plan kind and knobs are inert (the `BFMMLA` generator's 8×2
-/// blocking is fixed), exactly like the FP32 Neon candidate.
+/// SME candidates go through [`generate_tuned`] /
+/// [`crate::widening::generate_widening_tuned`]; a Neon candidate's plan
+/// kind and knobs are inert (the Neon generators' 16×4 and 8×2 blockings
+/// are fixed) and the configuration compiles as-is.
 pub fn generate_any_routed(
     cfg: &crate::AnyGemmConfig,
     candidate: &PlanCandidate,
 ) -> Result<RoutedKernel, GemmError> {
-    match cfg {
-        crate::AnyGemmConfig::Fp32(c) => generate_routed(c, candidate),
-        crate::AnyGemmConfig::WideningBf16(c) => match candidate.backend {
-            Backend::Sme => crate::widening::generate_widening_tuned(c, candidate)
-                .map(RoutedKernel::WideningSme),
-            Backend::Neon => crate::neon::generate_neon_widening(c).map(RoutedKernel::WideningNeon),
-        },
+    match (cfg, candidate.backend) {
+        (crate::AnyGemmConfig::Fp32(c), Backend::Sme) => generate_tuned(c, candidate),
+        (crate::AnyGemmConfig::WideningBf16(c), Backend::Sme) => {
+            crate::widening::generate_widening_tuned(c, candidate)
+        }
+        (_, Backend::Neon) => generate_any_backend(cfg, Backend::Neon),
     }
 }
 
 /// Generate a kernel and immediately validate it against the reference GEMM
 /// on pseudo-random data, returning the kernel and the maximum absolute
 /// error (convenience for tests and examples).
-pub fn generate_validated(cfg: &GemmConfig) -> Result<(CompiledKernel, f32), GemmError> {
+pub fn generate_validated(cfg: &GemmConfig) -> Result<(RoutedKernel, f32), GemmError> {
     let kernel = generate(cfg)?;
     let err = kernel.validate(0x5EED);
     Ok((kernel, err))
@@ -313,29 +291,27 @@ pub struct KernelStats {
     pub instructions: usize,
     /// Static FMOPA count.
     pub fmopa_count: usize,
-    /// Number of microkernel executions in the block plan.
+    /// Number of microkernel executions in the block plan (0 for kernels
+    /// without one).
     pub microkernels: usize,
     /// Code size in bytes.
     pub code_bytes: usize,
 }
 
-/// Collect static statistics for a compiled kernel.
-pub fn kernel_stats(kernel: &CompiledKernel) -> KernelStats {
+/// Collect static statistics for a generated kernel.
+pub fn kernel_stats(kernel: &RoutedKernel) -> KernelStats {
     use sme_isa::inst::Inst;
     let program = kernel.program();
     KernelStats {
         instructions: program.len(),
         fmopa_count: program.count_matching(|i| matches!(i, Inst::Sme(SmeInst::Fmopa { .. }))),
-        microkernels: kernel.plan().num_microkernels(),
+        microkernels: kernel.plan().map_or(0, BlockPlan::num_microkernels),
         code_bytes: program.code_bytes(),
     }
 }
 
 /// Re-export used by documentation examples.
 pub use crate::blocking::plan_heterogeneous;
-
-#[allow(unused_imports)]
-use BlockPlan as _BlockPlanDocOnly;
 
 #[cfg(test)]
 mod tests {
@@ -433,7 +409,7 @@ mod tests {
         use crate::blocking::{enumerate_candidates, PlanCandidate};
         let cfg = GemmConfig::abt(48, 48, 16);
         for candidate in enumerate_candidates(&cfg) {
-            let kernel = generate_routed(&cfg, &candidate).expect("routed generation");
+            let kernel = generate_any_routed(&cfg.into(), &candidate).expect("routed generation");
             assert_eq!(kernel.backend(), candidate.backend);
             if candidate.backend == Backend::Sme {
                 let kernel_cfg = kernel.fp32_config().expect("FP32 kernel");
@@ -473,25 +449,26 @@ mod tests {
     fn backend_generation_routes_to_the_matching_generator() {
         // A shape both backends support.
         let cfg = GemmConfig::abt(32, 16, 8);
-        let sme = generate_backend(&cfg, Backend::Sme).unwrap();
+        let any = crate::AnyGemmConfig::Fp32(cfg);
+        let sme = generate_any_backend(&any, Backend::Sme).unwrap();
         assert_eq!(sme.backend(), Backend::Sme);
-        assert!(sme.as_sme().is_some());
-        let neon = generate_backend(&cfg, Backend::Neon).unwrap();
+        assert!(sme.plan().is_some());
+        let neon = generate_any_backend(&any, Backend::Neon).unwrap();
         assert_eq!(neon.backend(), Backend::Neon);
-        assert!(neon.as_sme().is_none());
+        assert!(neon.plan().is_none());
         assert!(sme.validate(11) < 1e-4);
         assert!(neon.validate(11) < 1e-4);
         assert_eq!(sme.flops(), neon.flops());
 
         // A Neon candidate refused by generate_tuned is accepted by
-        // generate_routed.
+        // generate_any_routed.
         let neon_candidate = PlanCandidate::neon_for(&cfg).expect("neon-supported shape");
         assert!(matches!(
             generate_tuned(&cfg, &neon_candidate),
             Err(GemmError::Unsupported(_))
         ));
         assert_eq!(
-            generate_routed(&cfg, &neon_candidate)
+            generate_any_routed(&any, &neon_candidate)
                 .expect("routed generation")
                 .backend(),
             Backend::Neon
@@ -499,12 +476,12 @@ mod tests {
 
         // Ragged shapes compile on both backends (the Neon generator is
         // total over row-major B); only column-major B stays SME-only.
-        let ragged = GemmConfig::abt(33, 47, 8);
-        assert!(generate_backend(&ragged, Backend::Sme).is_ok());
-        let ragged_neon = generate_backend(&ragged, Backend::Neon).expect("odd shapes compile");
+        let ragged = GemmConfig::abt(33, 47, 8).into();
+        assert!(generate_any_backend(&ragged, Backend::Sme).is_ok());
+        let ragged_neon = generate_any_backend(&ragged, Backend::Neon).expect("odd shapes compile");
         assert!(ragged_neon.validate(13) < 1e-4);
         assert!(matches!(
-            generate_backend(&GemmConfig::ab(33, 47, 8), Backend::Neon),
+            generate_any_backend(&GemmConfig::ab(33, 47, 8).into(), Backend::Neon),
             Err(GemmError::Unsupported(_))
         ));
     }

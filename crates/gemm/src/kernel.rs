@@ -1,12 +1,14 @@
-//! The compiled-kernel handle: execution, validation and performance
-//! modelling of a generated GEMM kernel.
+//! The kernel handle: execution, validation and performance modelling of a
+//! generated GEMM kernel, whatever its datatype and engine.
 
 use crate::blocking::BlockPlan;
-use crate::config::{Backend, Beta, GemmConfig};
+use crate::config::{Backend, GemmConfig};
 use crate::dtype::{AnyGemmConfig, Dtype};
-use crate::neon::{NeonKernel, NeonWideningKernel};
 use crate::reference::{fill_matrix, gemm_reference, max_abs_diff};
-use crate::widening::{allocate_widening_buffers, WideningKernel, WideningPackLayout};
+use crate::widening::{
+    pack_a_bf16, pack_a_bf16_mmla, pack_b_bf16, pack_b_bf16_mmla, widening_reference,
+    widening_rel_error,
+};
 use sme_isa::Program;
 use sme_machine::exec::{RunOptions, RunResult, Simulator};
 use sme_machine::ExecStats;
@@ -45,11 +47,24 @@ impl GemmBuffers {
     }
 }
 
+/// The byte layout of a kernel's A and B operand images
+/// ([`RoutedKernel::operand_layout`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OperandLayout {
+    /// Plain column-major A and row- or column-major B, little-endian FP32
+    /// (both FP32 engines read the same images).
+    PlainF32,
+    /// Packed BF16 in the 2-way interleaved layout the SME widening BFMOPA
+    /// consumes ([`crate::pack_a_bf16`]).
+    InterleavedBf16,
+    /// Packed BF16 in the 4-deep `BFMMLA` layout the Neon widening kernel
+    /// consumes ([`crate::pack_a_bf16_mmla`]).
+    MmlaBf16,
+}
+
 /// Byte images of the A and B operands of one request, exactly as
 /// [`RoutedKernel::allocate_buffers`] would materialise them in simulator
-/// memory: plain column-/row-major little-endian FP32 for the FP32
-/// backends, packed BF16 (interleaved or MMLA layout, per the backend) for
-/// the widening backends.
+/// memory, in the kernel's [`OperandLayout`].
 ///
 /// Producing an image is the *packing* step of a dispatch; a runtime that
 /// serves the same operands repeatedly (e.g. fixed weights) can cache the
@@ -72,147 +87,74 @@ impl OperandImages {
     }
 }
 
-/// Little-endian byte image of an `f32` slice (the layout
-/// `Memory::alloc_f32` writes).
-pub(crate) fn f32_le_bytes(data: &[f32]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        bytes.extend_from_slice(&v.to_le_bytes());
+/// Little-endian byte image of a slice (the layout `Memory::alloc_f32`
+/// writes for `f32`).
+fn le_bytes<T: Copy, const N: usize>(data: &[T], to_le: fn(T) -> [u8; N]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(data.len() * N);
+    for &v in data {
+        bytes.extend_from_slice(&to_le(v));
     }
     bytes
 }
 
-/// Materialise the FP32 A/B operand images for `seed` (the packing step of
-/// [`allocate_gemm_buffers`], without a simulator).
-pub(crate) fn pack_gemm_images(cfg: &GemmConfig, seed: u64) -> OperandImages {
-    let mut a = vec![0.0f32; cfg.a_len()];
-    let mut b = vec![0.0f32; cfg.b_len()];
-    fill_matrix(seed, &mut a);
-    fill_matrix(seed ^ 0x1111_1111, &mut b);
-    OperandImages {
-        a: f32_le_bytes(&a),
-        b: f32_le_bytes(&b),
-    }
-}
-
-/// Allocate operand buffers for `cfg` from pre-packed A/B images, seeding a
-/// fresh C. Bit-identical to the seeded arm of [`allocate_gemm_buffers`]
-/// when `images` came from [`pack_gemm_images`] with the same seed.
-pub(crate) fn allocate_gemm_buffers_from_images(
-    cfg: &GemmConfig,
-    sim: &mut Simulator,
-    seed: u64,
-    images: &OperandImages,
-) -> GemmBuffers {
-    let align = OPERAND_ALIGN;
-    let a = sim.mem.alloc(images.a.len() as u64, align);
-    sim.mem.write_bytes(a, &images.a);
-    let b = sim.mem.alloc(images.b.len() as u64, align);
-    sim.mem.write_bytes(b, &images.b);
-    let mut c = vec![0.0f32; cfg.c_len()];
-    fill_matrix(seed ^ 0x2222_2222, &mut c);
-    GemmBuffers {
-        a,
-        b,
-        c: sim.mem.alloc_f32(&c, align),
-    }
-}
-
-/// Allocate operand buffers for `cfg` in the simulator's memory,
-/// [`OPERAND_ALIGN`]ed, optionally filled with seeded pseudo-random values
-/// (shared by the SME and Neon kernel handles so both backends see
-/// bit-identical operands for the same seed).
-pub(crate) fn allocate_gemm_buffers(
-    cfg: &GemmConfig,
-    sim: &mut Simulator,
-    seed: Option<u64>,
-) -> GemmBuffers {
-    let align = OPERAND_ALIGN;
-    let a_len = cfg.a_len();
-    let b_len = cfg.b_len();
-    let c_len = cfg.c_len();
-    match seed {
-        Some(s) => {
-            let mut a = vec![0.0f32; a_len];
-            let mut b = vec![0.0f32; b_len];
-            let mut c = vec![0.0f32; c_len];
-            fill_matrix(s, &mut a);
-            fill_matrix(s ^ 0x1111_1111, &mut b);
-            fill_matrix(s ^ 0x2222_2222, &mut c);
-            GemmBuffers {
-                a: sim.mem.alloc_f32(&a, align),
-                b: sim.mem.alloc_f32(&b, align),
-                c: sim.mem.alloc_f32(&c, align),
-            }
-        }
-        None => GemmBuffers {
-            a: sim.mem.alloc_f32_zeroed(a_len, align),
-            b: sim.mem.alloc_f32_zeroed(b_len, align),
-            c: sim.mem.alloc_f32_zeroed(c_len, align),
-        },
-    }
-}
-
-/// Execute `program` functionally on seeded operands and return the maximum
-/// absolute difference from the reference GEMM.
-pub(crate) fn validate_program(cfg: &GemmConfig, program: &Program, seed: u64) -> f32 {
-    let mut sim = Simulator::m4_performance();
-    let bufs = allocate_gemm_buffers(cfg, &mut sim, Some(seed));
-    let a = sim.mem.read_f32_slice(bufs.a, cfg.a_len());
-    let b = sim.mem.read_f32_slice(bufs.b, cfg.b_len());
-    let mut c_ref = sim.mem.read_f32_slice(bufs.c, cfg.c_len());
-
-    sim.run(
-        program,
-        &[bufs.a, bufs.b, bufs.c],
-        &RunOptions::functional_only(),
-    );
-    let c_out = sim.mem.read_f32_slice(bufs.c, cfg.c_len());
-
-    gemm_reference(cfg, &a, &b, &mut c_ref);
-    max_abs_diff(&c_out, &c_ref)
-}
-
-/// Timing-only run of `program` on untouched operands (single performance
-/// core).
-pub(crate) fn model_program_stats(cfg: &GemmConfig, program: &Program) -> ExecStats {
-    let mut sim = Simulator::m4_performance();
-    let bufs = allocate_gemm_buffers(cfg, &mut sim, None);
-    let result = sim.run(
-        program,
-        &[bufs.a, bufs.b, bufs.c],
-        &RunOptions::timing_only(),
-    );
-    result.stats
-}
-
-/// A generated, branch-resolved GEMM kernel.
+/// A generated, branch-resolved GEMM kernel for one datatype and one
+/// execution backend — what every generator returns, what the
+/// `sme-runtime` kernel cache stores and what the `sme-router` dispatches.
+///
+/// The handle hides which engine and operand packing it targets: a caller
+/// seeds the buffers, runs the kernel and reads C, whatever the kernel.
+/// Its simulated timing is measured once and memoized (see
+/// [`OPERAND_ALIGN`]).
 #[derive(Debug, Clone)]
-pub struct CompiledKernel {
-    cfg: GemmConfig,
-    plan: BlockPlan,
+pub struct RoutedKernel {
+    cfg: AnyGemmConfig,
+    backend: Backend,
+    plan: Option<BlockPlan>,
     program: Program,
     timing: OnceLock<ExecStats>,
 }
 
-impl CompiledKernel {
-    pub(crate) fn new(cfg: GemmConfig, plan: BlockPlan, program: Program) -> Self {
-        CompiledKernel {
-            cfg,
+impl RoutedKernel {
+    pub(crate) fn new(
+        cfg: impl Into<AnyGemmConfig>,
+        backend: Backend,
+        plan: Option<BlockPlan>,
+        program: Program,
+    ) -> Self {
+        RoutedKernel {
+            cfg: cfg.into(),
+            backend,
             plan,
             program,
             timing: OnceLock::new(),
         }
     }
 
-    /// The configuration the kernel was generated for.
-    pub fn config(&self) -> &GemmConfig {
-        &self.cfg
+    /// Which backend the kernel targets.
+    pub fn backend(&self) -> Backend {
+        self.backend
     }
 
-    /// The block plan the generator chose.
-    pub fn plan(&self) -> &BlockPlan {
-        &self.plan
+    /// Which datatype family the kernel computes.
+    pub fn dtype(&self) -> Dtype {
+        self.cfg.dtype()
+    }
+
+    /// The configuration the kernel was generated for (tuning knobs
+    /// applied).
+    pub fn any_config(&self) -> AnyGemmConfig {
+        self.cfg
+    }
+
+    /// The FP32 configuration, when this is an FP32 kernel.
+    pub fn fp32_config(&self) -> Option<&GemmConfig> {
+        self.cfg.as_fp32()
+    }
+
+    /// The block plan the generator chose — only SME FP32 kernels carry
+    /// one (the Neon register blockings are fixed).
+    pub fn plan(&self) -> Option<&BlockPlan> {
+        self.plan.as_ref()
     }
 
     /// The generated instruction stream.
@@ -236,191 +178,94 @@ impl CompiledKernel {
         self.cfg.flops()
     }
 
-    /// Allocate operand buffers in the simulator's memory,
-    /// [`OPERAND_ALIGN`]ed. If `seed` is given, A, B and C are filled with
-    /// deterministic pseudo-random values; otherwise they are zero.
-    pub fn allocate_buffers(&self, sim: &mut Simulator, seed: Option<u64>) -> GemmBuffers {
-        allocate_gemm_buffers(&self.cfg, sim, seed)
-    }
-
-    /// Execute the kernel once on the given simulator and operand buffers.
-    pub fn run(&self, sim: &mut Simulator, bufs: GemmBuffers, opts: &RunOptions) -> RunResult {
-        sim.run(&self.program, &[bufs.a, bufs.b, bufs.c], opts)
-    }
-
-    /// Execute the kernel functionally on pseudo-random operands and return
-    /// the maximum absolute difference from the reference GEMM.
-    pub fn validate(&self, seed: u64) -> f32 {
-        validate_program(&self.cfg, &self.program, seed)
-    }
-
-    /// Model the kernel's performance on a single performance core and
-    /// return the execution statistics (a timing-only run on untouched
-    /// operands, made on the first call and memoized — see
-    /// [`OPERAND_ALIGN`] for why the memo is exact).
-    pub fn model_stats(&self) -> &ExecStats {
-        self.timing
-            .get_or_init(|| model_program_stats(&self.cfg, &self.program))
-    }
-
-    /// Modelled FP32 throughput in GFLOPS on a single performance core.
-    ///
-    /// Note that the simulator only counts the arithmetic the kernel
-    /// actually performs; the returned figure uses the nominal `2·m·n·k`
-    /// operation count of the problem, exactly as the paper's plots do.
-    pub fn model_gflops(&self) -> f64 {
-        let stats = self.model_stats();
-        let seconds = stats.seconds();
-        if seconds == 0.0 {
-            0.0
-        } else {
-            self.flops() as f64 / seconds / 1e9
-        }
-    }
-
-    /// Effective beta of the kernel (convenience accessor).
-    pub fn beta(&self) -> Beta {
-        self.cfg.beta
-    }
-}
-
-/// A kernel compiled for one execution backend and one datatype family.
-///
-/// This is the unit the `sme-runtime` kernel cache stores and the
-/// `sme-router` dispatches: all four (backend × dtype) kernels share the
-/// execution, validation and modelling surface, so routing code never
-/// matches on the variant except to reach variant-specific detail (e.g.
-/// the SME block plan).
-///
-/// Which packed operand layout a widening kernel consumes is a per-variant
-/// detail hidden behind [`RoutedKernel::allocate_buffers`]: a caller seeds
-/// the buffers, runs the kernel and reads C, whatever the engine.
-#[derive(Debug, Clone)]
-pub enum RoutedKernel {
-    /// An SME FP32 outer-product kernel ([`crate::generate`] /
-    /// [`crate::generate_tuned`]).
-    Sme(CompiledKernel),
-    /// A Neon FP32 FMLA-by-element kernel
-    /// ([`crate::neon::generate_neon_kernel`]).
-    Neon(NeonKernel),
-    /// An SME BF16 → FP32 widening (BFMOPA) kernel
-    /// ([`crate::widening::generate_widening`]).
-    WideningSme(WideningKernel),
-    /// A Neon BF16 → FP32 widening (`BFMMLA`) kernel
-    /// ([`crate::neon::generate_neon_widening`]).
-    WideningNeon(NeonWideningKernel),
-}
-
-impl RoutedKernel {
-    /// Which backend the kernel targets.
-    pub fn backend(&self) -> Backend {
-        match self {
-            RoutedKernel::Sme(_) | RoutedKernel::WideningSme(_) => Backend::Sme,
-            RoutedKernel::Neon(_) | RoutedKernel::WideningNeon(_) => Backend::Neon,
-        }
-    }
-
-    /// Which datatype family the kernel computes.
-    pub fn dtype(&self) -> Dtype {
-        match self {
-            RoutedKernel::Sme(_) | RoutedKernel::Neon(_) => Dtype::Fp32,
-            RoutedKernel::WideningSme(_) | RoutedKernel::WideningNeon(_) => Dtype::WideningBf16,
-        }
-    }
-
-    /// The unified configuration key the kernel was generated for.
-    pub fn any_config(&self) -> AnyGemmConfig {
-        match self {
-            RoutedKernel::Sme(k) => AnyGemmConfig::Fp32(*k.config()),
-            RoutedKernel::Neon(k) => AnyGemmConfig::Fp32(*k.config()),
-            RoutedKernel::WideningSme(k) => AnyGemmConfig::WideningBf16(*k.config()),
-            RoutedKernel::WideningNeon(k) => AnyGemmConfig::WideningBf16(*k.config()),
-        }
-    }
-
-    /// The FP32 configuration, when this is an FP32 kernel.
-    pub fn fp32_config(&self) -> Option<&GemmConfig> {
-        match self {
-            RoutedKernel::Sme(k) => Some(k.config()),
-            RoutedKernel::Neon(k) => Some(k.config()),
-            _ => None,
-        }
-    }
-
-    /// The widening configuration, when this is a BF16 kernel.
-    pub fn widening_config(&self) -> Option<&crate::widening::WideningGemmConfig> {
-        match self {
-            RoutedKernel::WideningSme(k) => Some(k.config()),
-            RoutedKernel::WideningNeon(k) => Some(k.config()),
-            _ => None,
-        }
-    }
-
-    /// The generated instruction stream.
-    pub fn program(&self) -> &Program {
-        match self {
-            RoutedKernel::Sme(k) => k.program(),
-            RoutedKernel::Neon(k) => k.program(),
-            RoutedKernel::WideningSme(k) => k.program(),
-            RoutedKernel::WideningNeon(k) => k.program(),
-        }
-    }
-
-    /// The SME FP32 kernel handle, when this is that variant (block-plan
-    /// introspection is SME-specific).
-    pub fn as_sme(&self) -> Option<&CompiledKernel> {
-        match self {
-            RoutedKernel::Sme(k) => Some(k),
-            _ => None,
-        }
-    }
-
-    /// Floating-point operations per kernel execution.
-    pub fn flops(&self) -> u64 {
-        self.any_config().flops()
-    }
-
     /// Number of `f32` elements the C output buffer holds.
     pub fn c_len(&self) -> usize {
-        self.any_config().c_len()
+        self.cfg.c_len()
     }
 
-    /// Allocate operand buffers in the simulator's memory for this kernel's
-    /// datatype and packing.
-    ///
-    /// Both FP32 backends use the same seeding scheme, so their results are
-    /// comparable bit for bit; the widening variants derive their packed
-    /// BF16 operands from FP32 matrices filled with the same scheme, so a
-    /// scalar oracle ([`crate::widening::widening_reference`]) can
-    /// reproduce them from the seed alone.
-    pub fn allocate_buffers(&self, sim: &mut Simulator, seed: Option<u64>) -> GemmBuffers {
-        match self {
-            RoutedKernel::Sme(k) => allocate_gemm_buffers(k.config(), sim, seed),
-            RoutedKernel::Neon(k) => allocate_gemm_buffers(k.config(), sim, seed),
-            RoutedKernel::WideningSme(k) => {
-                allocate_widening_buffers(k.config(), sim, seed, WideningPackLayout::Interleaved)
-            }
-            RoutedKernel::WideningNeon(k) => {
-                allocate_widening_buffers(k.config(), sim, seed, WideningPackLayout::Mmla)
-            }
+    /// The byte layout of the A/B images this kernel reads — the one place
+    /// the (datatype, backend) pair decides the packing.
+    pub fn operand_layout(&self) -> OperandLayout {
+        match (self.dtype(), self.backend) {
+            (Dtype::Fp32, _) => OperandLayout::PlainF32,
+            (Dtype::WideningBf16, Backend::Sme) => OperandLayout::InterleavedBf16,
+            (Dtype::WideningBf16, Backend::Neon) => OperandLayout::MmlaBf16,
         }
     }
 
-    /// Materialise the packed A/B operand byte images for `seed` without a
+    /// Byte lengths of the A and B images in this kernel's layout.
+    fn image_bytes(&self) -> (usize, usize) {
+        match (&self.cfg, self.operand_layout()) {
+            (AnyGemmConfig::Fp32(c), _) => (4 * c.a_len(), 4 * c.b_len()),
+            (AnyGemmConfig::WideningBf16(c), OperandLayout::MmlaBf16) => {
+                (2 * c.packed_a_mmla_len(), 2 * c.packed_b_mmla_len())
+            }
+            (AnyGemmConfig::WideningBf16(c), _) => (2 * c.packed_a_len(), 2 * c.packed_b_len()),
+        }
+    }
+
+    /// The FP32 A and B matrices `seed` stands for, before any packing:
+    /// filled from `seed` and `seed ^ 0x1111_1111` (widening operands are
+    /// tight column-major `m × k` A and row-major `k × n` B).
+    fn seeded_ab(&self, seed: u64) -> (Vec<f32>, Vec<f32>) {
+        let (a_len, b_len) = match &self.cfg {
+            AnyGemmConfig::Fp32(c) => (c.a_len(), c.b_len()),
+            AnyGemmConfig::WideningBf16(c) => (c.m * c.k, c.k * c.n),
+        };
+        let mut a = vec![0.0f32; a_len];
+        let mut b = vec![0.0f32; b_len];
+        fill_matrix(seed, &mut a);
+        fill_matrix(seed ^ 0x1111_1111, &mut b);
+        (a, b)
+    }
+
+    /// The C matrix `seed` stands for (filled from `seed ^ 0x2222_2222`).
+    fn seeded_c(&self, seed: u64) -> Vec<f32> {
+        let mut c = vec![0.0f32; self.c_len()];
+        fill_matrix(seed ^ 0x2222_2222, &mut c);
+        c
+    }
+
+    /// Materialise the A/B operand byte images for `seed` without a
     /// simulator — the repack step a packed-operand cache skips on a hit.
-    /// The images follow this kernel's datatype and pack layout, so they
-    /// replay only on kernels with the same [`OperandImages`] layout.
+    /// The images follow [`RoutedKernel::operand_layout`], so they replay
+    /// only on kernels of the same configuration and layout.
     pub fn pack_operands(&self, seed: u64) -> OperandImages {
-        match self {
-            RoutedKernel::Sme(k) => pack_gemm_images(k.config(), seed),
-            RoutedKernel::Neon(k) => pack_gemm_images(k.config(), seed),
-            RoutedKernel::WideningSme(k) => crate::widening::pack_widening_images(
-                k.config(),
-                seed,
-                WideningPackLayout::Interleaved,
+        let (a, b) = self.seeded_ab(seed);
+        let (a, b) = match (&self.cfg, self.operand_layout()) {
+            (AnyGemmConfig::Fp32(_), _) => (
+                le_bytes(&a, f32::to_le_bytes),
+                le_bytes(&b, f32::to_le_bytes),
             ),
-            RoutedKernel::WideningNeon(k) => {
-                crate::widening::pack_widening_images(k.config(), seed, WideningPackLayout::Mmla)
+            (AnyGemmConfig::WideningBf16(c), OperandLayout::MmlaBf16) => (
+                le_bytes(&pack_a_bf16_mmla(&a, c.m, c.m, c.k), u16::to_le_bytes),
+                le_bytes(&pack_b_bf16_mmla(&b, c.k, c.n, c.n), u16::to_le_bytes),
+            ),
+            (AnyGemmConfig::WideningBf16(c), _) => (
+                le_bytes(&pack_a_bf16(&a, c.m, c.m, c.k), u16::to_le_bytes),
+                le_bytes(&pack_b_bf16(&b, c.k, c.n, c.n), u16::to_le_bytes),
+            ),
+        };
+        OperandImages { a, b }
+    }
+
+    /// Allocate operand buffers in the simulator's memory,
+    /// [`OPERAND_ALIGN`]ed, in this kernel's operand layout. With a seed,
+    /// A, B and C hold deterministic pseudo-random values — the same FP32
+    /// values for every kernel of one shape, so both FP32 engines agree bit
+    /// for bit and a scalar oracle can reproduce the widening operands from
+    /// the seed alone ([`crate::widening::widening_reference`]); without
+    /// one they are zero.
+    pub fn allocate_buffers(&self, sim: &mut Simulator, seed: Option<u64>) -> GemmBuffers {
+        match seed {
+            Some(seed) => self.allocate_buffers_packed(sim, seed, &self.pack_operands(seed)),
+            None => {
+                let (a_bytes, b_bytes) = self.image_bytes();
+                GemmBuffers {
+                    a: sim.mem.alloc(a_bytes as u64, OPERAND_ALIGN),
+                    b: sim.mem.alloc(b_bytes as u64, OPERAND_ALIGN),
+                    c: sim.mem.alloc_f32_zeroed(self.c_len(), OPERAND_ALIGN),
+                }
             }
         }
     }
@@ -429,39 +274,40 @@ impl RoutedKernel {
     /// [`RoutedKernel::pack_operands`]); C is always freshly seeded, being
     /// an output. Bit-identical to `allocate_buffers(sim, Some(seed))`
     /// when `images == self.pack_operands(seed)`.
+    ///
+    /// # Panics
+    /// Panics if an image's length differs from what this kernel's layout
+    /// and configuration read, so an image of another layout or a
+    /// truncated one is refused rather than served as wrong output.
     pub fn allocate_buffers_packed(
         &self,
         sim: &mut Simulator,
         seed: u64,
         images: &OperandImages,
     ) -> GemmBuffers {
-        match self {
-            RoutedKernel::Sme(k) => {
-                allocate_gemm_buffers_from_images(k.config(), sim, seed, images)
-            }
-            RoutedKernel::Neon(k) => {
-                allocate_gemm_buffers_from_images(k.config(), sim, seed, images)
-            }
-            RoutedKernel::WideningSme(k) => crate::widening::allocate_widening_buffers_from_images(
-                k.config(),
-                sim,
-                seed,
-                images,
-            ),
-            RoutedKernel::WideningNeon(k) => {
-                crate::widening::allocate_widening_buffers_from_images(
-                    k.config(),
-                    sim,
-                    seed,
-                    images,
-                )
-            }
+        let (a_bytes, b_bytes) = self.image_bytes();
+        assert!(
+            images.a.len() == a_bytes && images.b.len() == b_bytes,
+            "kernel {} reads {:?} images of {a_bytes}/{b_bytes} A/B bytes, got {}/{}",
+            self.program.name(),
+            self.operand_layout(),
+            images.a.len(),
+            images.b.len()
+        );
+        let a = sim.mem.alloc(a_bytes as u64, OPERAND_ALIGN);
+        sim.mem.write_bytes(a, &images.a);
+        let b = sim.mem.alloc(b_bytes as u64, OPERAND_ALIGN);
+        sim.mem.write_bytes(b, &images.b);
+        GemmBuffers {
+            a,
+            b,
+            c: sim.mem.alloc_f32(&self.seeded_c(seed), OPERAND_ALIGN),
         }
     }
 
     /// Execute the kernel once on the given simulator and operand buffers.
     pub fn run(&self, sim: &mut Simulator, bufs: GemmBuffers, opts: &RunOptions) -> RunResult {
-        sim.run(self.program(), &[bufs.a, bufs.b, bufs.c], opts)
+        sim.run(&self.program, &[bufs.a, bufs.b, bufs.c], opts)
     }
 
     /// Serve one request: execute the kernel functionally on `bufs` and
@@ -487,29 +333,43 @@ impl RoutedKernel {
     /// against the BF16-rounded oracle (bounded by
     /// [`crate::widening::WIDENING_REL_TOL`]) for widening kernels.
     pub fn validate(&self, seed: u64) -> f32 {
-        match self {
-            RoutedKernel::Sme(k) => k.validate(seed),
-            RoutedKernel::Neon(k) => k.validate(seed),
-            RoutedKernel::WideningSme(k) => k.validate(seed),
-            RoutedKernel::WideningNeon(k) => k.validate(seed),
+        let mut sim = Simulator::m4_performance();
+        let bufs = self.allocate_buffers(&mut sim, Some(seed));
+        self.run(&mut sim, bufs, &RunOptions::functional_only());
+        let out = sim.mem.read_f32_slice(bufs.c, self.c_len());
+        let (a, b) = self.seeded_ab(seed);
+        let mut c = self.seeded_c(seed);
+        match &self.cfg {
+            AnyGemmConfig::Fp32(cfg) => {
+                gemm_reference(cfg, &a, &b, &mut c);
+                max_abs_diff(&out, &c)
+            }
+            AnyGemmConfig::WideningBf16(cfg) => {
+                widening_reference(cfg, &a, &b, &mut c);
+                widening_rel_error(&out, &c)
+            }
         }
     }
 
-    /// Model the kernel's performance on a single performance core
-    /// (memoized per kernel: the timing model runs on the first call only).
+    /// Model the kernel's performance on a single performance core and
+    /// return the execution statistics (a timing-only run on untouched
+    /// operands, made on the first call and memoized — see
+    /// [`OPERAND_ALIGN`] for why the memo is exact).
     pub fn model_stats(&self) -> &ExecStats {
-        match self {
-            RoutedKernel::Sme(k) => k.model_stats(),
-            RoutedKernel::Neon(k) => k.model_stats(),
-            RoutedKernel::WideningSme(k) => k.model_stats(),
-            RoutedKernel::WideningNeon(k) => k.model_stats(),
-        }
+        self.timing.get_or_init(|| {
+            let mut sim = Simulator::m4_performance();
+            let bufs = self.allocate_buffers(&mut sim, None);
+            self.run(&mut sim, bufs, &RunOptions::timing_only()).stats
+        })
     }
 
     /// Modelled throughput in GFLOPS on a single performance core.
+    ///
+    /// Note that the simulator only counts the arithmetic the kernel
+    /// actually performs; the returned figure uses the nominal `2·m·n·k`
+    /// operation count of the problem, exactly as the paper's plots do.
     pub fn model_gflops(&self) -> f64 {
-        let stats = self.model_stats();
-        let seconds = stats.seconds();
+        let seconds = self.model_stats().seconds();
         if seconds == 0.0 {
             0.0
         } else {
@@ -518,34 +378,11 @@ impl RoutedKernel {
     }
 }
 
-impl From<CompiledKernel> for RoutedKernel {
-    fn from(kernel: CompiledKernel) -> Self {
-        RoutedKernel::Sme(kernel)
-    }
-}
-
-impl From<NeonKernel> for RoutedKernel {
-    fn from(kernel: NeonKernel) -> Self {
-        RoutedKernel::Neon(kernel)
-    }
-}
-
-impl From<WideningKernel> for RoutedKernel {
-    fn from(kernel: WideningKernel) -> Self {
-        RoutedKernel::WideningSme(kernel)
-    }
-}
-
-impl From<NeonWideningKernel> for RoutedKernel {
-    fn from(kernel: NeonWideningKernel) -> Self {
-        RoutedKernel::WideningNeon(kernel)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::generate;
+    use crate::generator::{generate, generate_any_backend};
+    use crate::widening::{generate_widening, WideningGemmConfig};
 
     #[test]
     fn model_gflops_is_positive_and_bounded_by_the_machine_peak() {
@@ -580,9 +417,8 @@ mod tests {
 
     #[test]
     fn kernels_that_never_move_sp_back_no_stack() {
-        let fp32 = RoutedKernel::from(generate(&GemmConfig::abt(32, 32, 32)).unwrap());
-        let wide = crate::widening::WideningGemmConfig::new(32, 32, 32).unwrap();
-        let bf16 = RoutedKernel::from(crate::widening::generate_widening(&wide).unwrap());
+        let fp32 = generate(&GemmConfig::abt(32, 32, 32)).unwrap();
+        let bf16 = generate_widening(&WideningGemmConfig::new(32, 32, 32).unwrap()).unwrap();
         for kernel in [fp32, bf16] {
             let mut sim = Simulator::m4_performance();
             let bufs = kernel.allocate_buffers(&mut sim, Some(3));
@@ -619,7 +455,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "aligned operands")]
     fn serving_misaligned_operands_is_refused() {
-        let kernel = RoutedKernel::from(generate(&GemmConfig::abt(16, 16, 4)).unwrap());
+        let kernel = generate(&GemmConfig::abt(16, 16, 4)).unwrap();
         let mut sim = Simulator::m4_performance();
         let mut bufs = kernel.allocate_buffers(&mut sim, Some(1));
         bufs.b += 4;
@@ -628,7 +464,7 @@ mod tests {
 
     #[test]
     fn model_stats_are_timed_once() {
-        let kernel = RoutedKernel::from(generate(&GemmConfig::abt(32, 32, 16)).unwrap());
+        let kernel = generate(&GemmConfig::abt(32, 32, 16)).unwrap();
         let first: *const ExecStats = kernel.model_stats();
         assert!(std::ptr::eq(first, kernel.model_stats()));
         // Clones carry the memo along.
@@ -643,5 +479,128 @@ mod tests {
         assert!(stats.bytes_loaded > 0);
         assert!(stats.bytes_stored > 0);
         assert!(stats.cycles > 0.0);
+    }
+
+    /// FNV-1a-64 over the little-endian bits of `values`.
+    fn fnv1a64(values: &[f32]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn every_kernel_kind_keeps_its_layout_images_output_and_cycles() {
+        let abt: AnyGemmConfig = GemmConfig::abt(33, 17, 9).into();
+        let ab: AnyGemmConfig = GemmConfig::ab(33, 17, 9).into();
+        let bf16: AnyGemmConfig = WideningGemmConfig::new(40, 34, 10).unwrap().into();
+        // (config, backend, layout, A/B image bytes, C digest, cycles):
+        // recorded values, so a change to seeding, packing, code
+        // generation or timing of any kernel kind shows up bit for bit.
+        let table = [
+            (
+                abt,
+                Backend::Sme,
+                OperandLayout::PlainF32,
+                (1188, 612),
+                0xf722_d2f7_c885_378c,
+                264.87025819223004,
+            ),
+            (
+                abt,
+                Backend::Neon,
+                OperandLayout::PlainF32,
+                (1188, 612),
+                0xf722_d2f7_c885_378c,
+                754.0024380333284,
+            ),
+            (
+                ab,
+                Backend::Sme,
+                OperandLayout::PlainF32,
+                (1188, 612),
+                0xbf9a_2297_ba77_c837,
+                310.88563278669585,
+            ),
+            (
+                bf16,
+                Backend::Sme,
+                OperandLayout::InterleavedBf16,
+                (800, 680),
+                0xa44b_7c9f_cde2_f722,
+                475.2313485166469,
+            ),
+            (
+                bf16,
+                Backend::Neon,
+                OperandLayout::MmlaBf16,
+                (960, 816),
+                0x8e01_8311_2fa0_8a6b,
+                3456.1190476190027,
+            ),
+        ];
+        let mut fp32_images = Vec::new();
+        for (cfg, backend, layout, (a_bytes, b_bytes), digest, cycles) in table {
+            let kernel = generate_any_backend(&cfg, backend).unwrap();
+            let name = kernel.program().name().to_string();
+            assert_eq!(kernel.operand_layout(), layout, "{name}");
+
+            let images = kernel.pack_operands(7);
+            assert_eq!(
+                (images.a.len(), images.b.len()),
+                (a_bytes, b_bytes),
+                "{name}"
+            );
+            if cfg == abt {
+                fp32_images.push(images.clone());
+            }
+
+            let mut seeded = Simulator::m4_performance();
+            let mut packed = Simulator::m4_performance();
+            let bufs = kernel.allocate_buffers(&mut seeded, Some(7));
+            assert_eq!(
+                kernel.allocate_buffers_packed(&mut packed, 7, &images),
+                bufs
+            );
+            for (addr, len) in [
+                (bufs.a, a_bytes),
+                (bufs.b, b_bytes),
+                (bufs.c, 4 * kernel.c_len()),
+            ] {
+                assert_eq!(
+                    seeded.mem.read_bytes(addr, len),
+                    packed.mem.read_bytes(addr, len),
+                    "{name}"
+                );
+            }
+
+            let served = kernel.serve(&mut seeded, bufs).cycles;
+            let c = seeded.mem.read_f32_slice(bufs.c, kernel.c_len());
+            assert_eq!((fnv1a64(&c), served), (digest, cycles), "{name}");
+        }
+        assert_eq!(
+            fp32_images[0], fp32_images[1],
+            "both FP32 engines read one image"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "reads InterleavedBf16 images of 512/512 A/B bytes, got 1024/1024")]
+    fn images_of_another_layout_are_refused() {
+        let bf16 = generate_widening(&WideningGemmConfig::new(32, 32, 8).unwrap()).unwrap();
+        let fp32 = generate(&GemmConfig::abt(32, 32, 8)).unwrap();
+        let mut sim = Simulator::m4_performance();
+        bf16.allocate_buffers_packed(&mut sim, 1, &fp32.pack_operands(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "of 512/512 A/B bytes, got 256/512")]
+    fn truncated_images_are_refused() {
+        let kernel = generate_widening(&WideningGemmConfig::new(32, 32, 8).unwrap()).unwrap();
+        let mut images = kernel.pack_operands(1);
+        images.a.truncate(256);
+        let mut sim = Simulator::m4_performance();
+        kernel.allocate_buffers_packed(&mut sim, 1, &images);
     }
 }

@@ -38,7 +38,10 @@
 //!   (direct vs. two-step, §III-G);
 //! * [`transpose`] — in-kernel transposition of column-major B panels
 //!   through the ZA array (§IV-C, Lst. 5);
-//! * [`generator`] / [`kernel`] — the public entry points;
+//! * [`generator`] / [`kernel`] — the public entry points: every generator
+//!   returns one [`RoutedKernel`], whatever the datatype and engine, which
+//!   runs, validates and models itself and decides its operand layout
+//!   ([`OperandLayout`]);
 //! * [`neon`] — the traditional Neon (FMLA by element) microkernel
 //!   generator used as the Fig. 6 comparison point and as a non-SME
 //!   baseline;
@@ -77,18 +80,14 @@ pub use config::{
 };
 pub use dtype::{default_any_candidate, enumerate_any_candidates, AnyGemmConfig, Dtype};
 pub use generator::{
-    backend_supports, generate, generate_any_backend, generate_any_routed, generate_backend,
-    generate_routed, generate_tuned, generate_validated, generate_with_plan, kernel_stats,
-    KernelStats,
+    backend_supports, generate, generate_any_backend, generate_any_routed, generate_tuned,
+    generate_validated, generate_with_plan, kernel_stats, KernelStats,
 };
-pub use kernel::{CompiledKernel, GemmBuffers, OperandImages, RoutedKernel, OPERAND_ALIGN};
-pub use neon::{
-    generate_neon_kernel, generate_neon_widening, neon_supports, neon_widening_supports,
-    validate_neon, NeonKernel, NeonWideningKernel,
-};
+pub use kernel::{GemmBuffers, OperandImages, OperandLayout, RoutedKernel, OPERAND_ALIGN};
+pub use neon::{generate_neon_widening, neon_supports, neon_widening_supports};
 pub use widening::{
     default_widening_candidate, enumerate_widening_candidates, generate_widening,
     generate_widening_tuned, pack_a_bf16, pack_a_bf16_mmla, pack_b_bf16, pack_b_bf16_mmla,
     prune_dominated_widening_candidates, sme_widening_supports, widening_reference,
-    widening_rel_error, WideningGemmConfig, WideningKernel, WIDENING_REL_TOL,
+    widening_rel_error, WideningGemmConfig, WIDENING_REL_TOL,
 };

@@ -5,23 +5,24 @@
 //! with the SME 32×32 microkernel. This module provides
 //!
 //! * [`emit_neon_16x6_k_step`], the exact Fig. 6 microkernel body, used for
-//!   the instruction-mix comparison, and
+//!   the instruction-mix comparison,
 //! * [`generate_neon`], a complete Neon GEMM kernel (16×4 blocking, which
 //!   avoids over-reading B rows) used as the non-SME baseline in ablation
-//!   benchmarks.
+//!   benchmarks and, through [`crate::generate_any_backend`], as the
+//!   router's Neon engine, and
+//! * [`generate_neon_widening`], its BF16 → FP32 `BFMMLA` twin.
 
-use crate::config::{BLayout, Beta, GemmConfig, GemmError};
+use crate::config::{BLayout, Backend, Beta, GemmConfig, GemmError};
+use crate::kernel::RoutedKernel;
 use crate::microkernel::{
     xr, ARG_A, ARG_B, ARG_C, A_PTR, BK_STRIDE, B_PTR, COL_PTR, C_PTR, K_CNT, LDA_B, LDC_B, TMP0,
 };
-use crate::widening::{WideningGemmConfig, WideningPackLayout};
+use crate::widening::WideningGemmConfig;
 use sme_isa::asm::Assembler;
 use sme_isa::inst::{NeonInst, ScalarInst};
 use sme_isa::regs::VReg;
 use sme_isa::types::NeonArrangement;
 use sme_isa::Program;
-use sme_machine::ExecStats;
-use std::sync::OnceLock;
 
 fn vr(n: u8) -> VReg {
     VReg::new(n)
@@ -415,91 +416,6 @@ fn emit_neon_block(
     }
 }
 
-/// A generated Neon GEMM kernel with the same execution surface as the SME
-/// [`crate::CompiledKernel`].
-///
-/// The Neon backend has no block plan or ZA-transfer knobs — the 16×4
-/// register blocking is fixed — so the handle carries only the
-/// configuration and the instruction stream. It is normally reached through
-/// [`crate::RoutedKernel`], the backend-agnostic kernel the runtime cache
-/// stores.
-#[derive(Debug, Clone)]
-pub struct NeonKernel {
-    cfg: GemmConfig,
-    program: Program,
-    timing: OnceLock<ExecStats>,
-}
-
-impl NeonKernel {
-    /// The configuration the kernel was generated for.
-    pub fn config(&self) -> &GemmConfig {
-        &self.cfg
-    }
-
-    /// The generated instruction stream.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Floating-point operations per kernel execution.
-    pub fn flops(&self) -> u64 {
-        self.cfg.flops()
-    }
-
-    /// Execute the kernel functionally on pseudo-random operands (same
-    /// seeding scheme as [`crate::CompiledKernel::validate`]) and return
-    /// the maximum absolute difference from the reference GEMM.
-    pub fn validate(&self, seed: u64) -> f32 {
-        crate::kernel::validate_program(&self.cfg, &self.program, seed)
-    }
-
-    /// Model the kernel's performance on a single performance core
-    /// (memoized: the timing model runs on the first call only).
-    pub fn model_stats(&self) -> &ExecStats {
-        self.timing
-            .get_or_init(|| crate::kernel::model_program_stats(&self.cfg, &self.program))
-    }
-}
-
-/// Generate a Neon kernel behind the [`NeonKernel`] handle — the dispatch
-/// path used by the `sme-runtime` cache for Neon-routed configurations.
-pub fn generate_neon_kernel(cfg: &GemmConfig) -> Result<NeonKernel, GemmError> {
-    let program = generate_neon(cfg)?;
-    Ok(NeonKernel {
-        cfg: *cfg,
-        program,
-        timing: OnceLock::new(),
-    })
-}
-
-/// Validate a Neon-generated kernel against the reference GEMM and return
-/// the maximum absolute error.
-pub fn validate_neon(cfg: &GemmConfig, seed: u64) -> Result<f32, GemmError> {
-    use crate::reference::{fill_matrix, gemm_reference, max_abs_diff};
-    use sme_machine::exec::{RunOptions, Simulator};
-
-    let program = generate_neon(cfg)?;
-    let mut sim = Simulator::m4_performance();
-    let mut a = vec![0.0f32; cfg.a_len()];
-    let mut b = vec![0.0f32; cfg.b_len()];
-    let mut c = vec![0.0f32; cfg.c_len()];
-    fill_matrix(seed, &mut a);
-    fill_matrix(seed + 1, &mut b);
-    fill_matrix(seed + 2, &mut c);
-    let a_addr = sim.mem.alloc_f32(&a, 128);
-    let b_addr = sim.mem.alloc_f32(&b, 128);
-    let c_addr = sim.mem.alloc_f32(&c, 128);
-    sim.run(
-        &program,
-        &[a_addr, b_addr, c_addr],
-        &RunOptions::functional_only(),
-    );
-    let c_out = sim.mem.read_f32_slice(c_addr, cfg.c_len());
-    let mut c_ref = c;
-    gemm_reference(cfg, &a, &b, &mut c_ref);
-    Ok(max_abs_diff(&c_out, &c_ref))
-}
-
 /// Check whether the Neon widening (`BFMMLA`) generator supports `cfg`.
 ///
 /// Total over the envelope grid, like its twin
@@ -522,68 +438,6 @@ pub fn neon_widening_supports(cfg: &WideningGemmConfig) -> Result<(), GemmError>
     Ok(())
 }
 
-/// A generated Neon BF16 → FP32 widening kernel (`BFMMLA`), sharing the
-/// validation/modelling surface of [`crate::widening::WideningKernel`].
-///
-/// It consumes the `BFMMLA`-packed operands of
-/// [`crate::widening::pack_a_bf16_mmla`] /
-/// [`crate::widening::pack_b_bf16_mmla`]; which packing a buffer carries is
-/// a per-backend detail hidden behind [`crate::RoutedKernel`]'s buffer
-/// allocation, exactly like the FP32 backends' differing access patterns.
-#[derive(Debug, Clone)]
-pub struct NeonWideningKernel {
-    cfg: WideningGemmConfig,
-    program: Program,
-    timing: OnceLock<ExecStats>,
-}
-
-impl NeonWideningKernel {
-    /// The configuration the kernel was generated for.
-    pub fn config(&self) -> &WideningGemmConfig {
-        &self.cfg
-    }
-
-    /// The generated instruction stream.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Assembly listing.
-    pub fn disassembly(&self) -> String {
-        sme_isa::disasm::disassemble_program(&self.program)
-    }
-
-    /// Floating-point operations per kernel execution.
-    pub fn flops(&self) -> u64 {
-        self.cfg.flops()
-    }
-
-    /// Validate against the scalar BF16-rounded oracle
-    /// ([`crate::widening::widening_reference`]); returns the maximum
-    /// **relative** error (assert it below
-    /// [`crate::widening::WIDENING_REL_TOL`]).
-    pub fn validate(&self, seed: u64) -> f32 {
-        crate::widening::validate_widening_program(
-            &self.cfg,
-            &self.program,
-            seed,
-            WideningPackLayout::Mmla,
-        )
-    }
-
-    /// Timing-only execution statistics on one performance core
-    /// (memoized: the timing model runs on the first call only).
-    pub fn model_stats(&self) -> &ExecStats {
-        self.timing.get_or_init(|| {
-            crate::widening::model_widening_program_stats(
-                &self.cfg,
-                &self.program,
-                WideningPackLayout::Mmla,
-            )
-        })
-    }
-}
-
 /// Generate a Neon `BFMMLA` widening kernel for `C += A·Bᵀ` on BF16-packed
 /// operands.
 ///
@@ -593,8 +447,11 @@ impl NeonWideningKernel {
 /// one B fetch (`ldr q`) feed four matrix instructions per quad. Operand
 /// order is chosen so each accumulator's 64-bit halves are contiguous
 /// column fragments of the column-major C, moved with `ldr d`/`str d` plus
-/// one `ins`/`dup` lane shuffle per row pair.
-pub fn generate_neon_widening(cfg: &WideningGemmConfig) -> Result<NeonWideningKernel, GemmError> {
+/// one `ins`/`dup` lane shuffle per row pair. The kernel reads the
+/// `BFMMLA`-packed operands of [`crate::widening::pack_a_bf16_mmla`] /
+/// [`crate::widening::pack_b_bf16_mmla`]
+/// ([`crate::kernel::OperandLayout::MmlaBf16`]).
+pub fn generate_neon_widening(cfg: &WideningGemmConfig) -> Result<RoutedKernel, GemmError> {
     neon_widening_supports(cfg)?;
     let mut asm = Assembler::new(format!("neon_gemm_bf16_{}x{}x{}", cfg.m, cfg.n, cfg.k));
     // Per contraction quad, packed A advances by (m/2) registers of 16
@@ -608,11 +465,7 @@ pub fn generate_neon_widening(cfg: &WideningGemmConfig) -> Result<NeonWideningKe
         }
     }
     asm.ret();
-    Ok(NeonWideningKernel {
-        cfg: *cfg,
-        program: asm.finish(),
-        timing: OnceLock::new(),
-    })
+    Ok(RoutedKernel::new(*cfg, Backend::Neon, None, asm.finish()))
 }
 
 /// One 8×2 widening block: load C, run the contraction-quad loop, store C.
@@ -780,23 +633,15 @@ fn emit_neon_widening_8x2_block(
     }
 }
 
-/// Modelled single-performance-core throughput of the Neon baseline kernel.
-pub fn model_neon_gflops(cfg: &GemmConfig) -> Result<f64, GemmError> {
-    use sme_machine::exec::{RunOptions, Simulator};
-    let program = generate_neon(cfg)?;
-    let mut sim = Simulator::m4_performance();
-    let a = sim.mem.alloc_f32_zeroed(cfg.a_len(), 128);
-    let b = sim.mem.alloc_f32_zeroed(cfg.b_len(), 128);
-    let c = sim.mem.alloc_f32_zeroed(cfg.c_len(), 128);
-    let result = sim.run(&program, &[a, b, c], &RunOptions::timing_only());
-    let seconds = result.stats.seconds();
-    Ok(cfg.flops() as f64 / seconds / 1e9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sme_isa::inst::Inst;
+
+    /// Validation error of the Neon kernel for `cfg` on seeded operands.
+    fn neon_error(cfg: &GemmConfig, seed: u64) -> Result<f32, GemmError> {
+        crate::generate_any_backend(&(*cfg).into(), Backend::Neon).map(|k| k.validate(seed))
+    }
 
     #[test]
     fn figure6_comparison_numbers() {
@@ -831,7 +676,7 @@ mod tests {
     fn neon_kernel_validates() {
         for (m, n, k) in [(16, 4, 8), (32, 8, 16), (48, 12, 7)] {
             let cfg = GemmConfig::abt(m, n, k);
-            let err = validate_neon(&cfg, 3).expect("generation must succeed");
+            let err = neon_error(&cfg, 3).expect("generation must succeed");
             assert!(err < 1e-4, "({m},{n},{k}): {err}");
         }
     }
@@ -851,12 +696,12 @@ mod tests {
             (12, 2, 3),  // three quads, single two-wide column
         ] {
             let cfg = GemmConfig::abt(m, n, k);
-            let err = validate_neon(&cfg, 11).expect("generation must succeed");
+            let err = neon_error(&cfg, 11).expect("generation must succeed");
             assert!(err < 1e-4, "({m},{n},{k}): {err}");
             // Padded leading dimensions exercise the same masked blocks
             // with non-tight strides.
             let padded = cfg.with_leading_dims(m + 6, n + 2, m + 4);
-            let err = validate_neon(&padded, 12).expect("generation must succeed");
+            let err = neon_error(&padded, 12).expect("generation must succeed");
             assert!(err < 1e-4, "padded ({m},{n},{k}): {err}");
         }
     }
@@ -865,7 +710,7 @@ mod tests {
     fn neon_beta_zero_overwrites_c() {
         for (m, n, k) in [(16, 4, 8), (18, 6, 5), (2, 2, 3)] {
             let cfg = GemmConfig::abt(m, n, k).with_beta(Beta::Zero);
-            let err = validate_neon(&cfg, 21).expect("beta = 0 must compile");
+            let err = neon_error(&cfg, 21).expect("beta = 0 must compile");
             assert!(err < 1e-4, "({m},{n},{k}) beta=0: {err}");
         }
         // The zero path emits movi instead of accumulator loads.
@@ -896,13 +741,13 @@ mod tests {
             (33, 31, 9), // off-grid in every dimension
         ] {
             let cfg = GemmConfig::abt(m, n, k);
-            let err = validate_neon(&cfg, 17).expect("odd shapes must compile");
+            let err = neon_error(&cfg, 17).expect("odd shapes must compile");
             assert!(err < 1e-4, "({m},{n},{k}): {err}");
             let padded = cfg.with_leading_dims(m + 3, n + 1, m + 5);
-            let err = validate_neon(&padded, 18).expect("padded odd shapes must compile");
+            let err = neon_error(&padded, 18).expect("padded odd shapes must compile");
             assert!(err < 1e-4, "padded ({m},{n},{k}): {err}");
             let beta0 = cfg.with_beta(Beta::Zero);
-            let err = validate_neon(&beta0, 19).expect("beta = 0 odd shapes must compile");
+            let err = neon_error(&beta0, 19).expect("beta = 0 odd shapes must compile");
             assert!(err < 1e-4, "beta=0 ({m},{n},{k}): {err}");
         }
     }
@@ -947,7 +792,9 @@ mod tests {
     #[test]
     fn neon_is_far_slower_than_sme_for_the_same_problem() {
         let cfg = GemmConfig::abt(64, 64, 64);
-        let neon = model_neon_gflops(&cfg).unwrap();
+        let neon = crate::generate_any_backend(&cfg.into(), Backend::Neon)
+            .unwrap()
+            .model_gflops();
         let sme = crate::generate(&cfg).unwrap().model_gflops();
         assert!(
             neon < 120.0,

@@ -29,21 +29,18 @@
 
 use crate::blocking::{BlockInstance, PlanCandidate, PlanKind, RegisterBlocking};
 use crate::config::{Backend, GemmConfig, GemmError, KernelSchedule, ZaTransferStrategy};
+use crate::kernel::RoutedKernel;
 use crate::loads::{emit_c_transfer, TransferDir};
 use crate::microkernel::{
     a_counter, col_pred, emit_counter_predicate, emit_lane_predicate, load_vectors, row_pred,
     wa_counter, wa_pred, wb_counter, wb_pred, xr, zr, ARG_A, ARG_B, ARG_C, A_PTR, BK_STRIDE, B_PTR,
     C_PTR, K_CNT, LDA_B, LDC_B, TMP0, ZA_A, ZB_B,
 };
-use crate::reference::{fill_matrix, max_rel_diff};
+use crate::reference::max_rel_diff;
 use serde::{Deserialize, Serialize};
 use sme_isa::asm::Assembler;
 use sme_isa::inst::{ScalarInst, SmeInst, SveInst};
 use sme_isa::types::ElementType;
-use sme_isa::Program;
-use sme_machine::exec::{RunOptions, Simulator};
-use sme_machine::ExecStats;
-use std::sync::OnceLock;
 
 /// Relative-error bound the widening validation paths assert against.
 ///
@@ -319,254 +316,6 @@ pub fn widening_reference(cfg: &WideningGemmConfig, a: &[f32], b: &[f32], c: &mu
     }
 }
 
-/// Which packed operand layout a widening kernel consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WideningPackLayout {
-    /// The 2-way interleaved BFMOPA layout ([`pack_a_bf16`]).
-    Interleaved,
-    /// The 4-deep `BFMMLA` layout ([`pack_a_bf16_mmla`]).
-    Mmla,
-}
-
-/// Allocate (and optionally fill) one widening operand triple in the
-/// simulator's memory: packed BF16 A and B in `layout`, FP32 C.
-///
-/// With a seed, the underlying FP32 operands follow the same scheme as the
-/// FP32 kernels' [`crate::kernel::GemmBuffers`] seeding (`seed`,
-/// `seed ^ 0x1111_1111`, `seed ^ 0x2222_2222`), so a test oracle can
-/// reproduce them with [`crate::reference::fill_matrix`] and
-/// [`widening_reference`].
-pub(crate) fn allocate_widening_buffers(
-    cfg: &WideningGemmConfig,
-    sim: &mut Simulator,
-    seed: Option<u64>,
-    layout: WideningPackLayout,
-) -> crate::kernel::GemmBuffers {
-    let align = crate::kernel::OPERAND_ALIGN;
-    let (a_len, b_len) = match layout {
-        WideningPackLayout::Interleaved => (cfg.packed_a_len(), cfg.packed_b_len()),
-        WideningPackLayout::Mmla => (cfg.packed_a_mmla_len(), cfg.packed_b_mmla_len()),
-    };
-    match seed {
-        Some(s) => {
-            let mut a = vec![0.0f32; cfg.m * cfg.k];
-            let mut b = vec![0.0f32; cfg.k * cfg.n];
-            let mut c = vec![0.0f32; cfg.c_len()];
-            fill_matrix(s, &mut a);
-            fill_matrix(s ^ 0x1111_1111, &mut b);
-            fill_matrix(s ^ 0x2222_2222, &mut c);
-            let (packed_a, packed_b) = match layout {
-                WideningPackLayout::Interleaved => (
-                    pack_a_bf16(&a, cfg.m, cfg.m, cfg.k),
-                    pack_b_bf16(&b, cfg.k, cfg.n, cfg.n),
-                ),
-                WideningPackLayout::Mmla => (
-                    pack_a_bf16_mmla(&a, cfg.m, cfg.m, cfg.k),
-                    pack_b_bf16_mmla(&b, cfg.k, cfg.n, cfg.n),
-                ),
-            };
-            let a_addr = sim.mem.alloc(a_len as u64 * 2, align);
-            let b_addr = sim.mem.alloc(b_len as u64 * 2, align);
-            write_u16_slice(sim, a_addr, &packed_a);
-            write_u16_slice(sim, b_addr, &packed_b);
-            crate::kernel::GemmBuffers {
-                a: a_addr,
-                b: b_addr,
-                c: sim.mem.alloc_f32(&c, align),
-            }
-        }
-        None => crate::kernel::GemmBuffers {
-            a: sim.mem.alloc(a_len as u64 * 2, align),
-            b: sim.mem.alloc(b_len as u64 * 2, align),
-            c: sim.mem.alloc_f32_zeroed(cfg.c_len(), align),
-        },
-    }
-}
-
-/// Execute `program` functionally on seeded packed operands and return the
-/// maximum relative error against the scalar BF16-rounded oracle.
-pub(crate) fn validate_widening_program(
-    cfg: &WideningGemmConfig,
-    program: &Program,
-    seed: u64,
-    layout: WideningPackLayout,
-) -> f32 {
-    let mut sim = Simulator::m4_performance();
-    let bufs = allocate_widening_buffers(cfg, &mut sim, Some(seed), layout);
-    sim.run(
-        program,
-        &[bufs.a, bufs.b, bufs.c],
-        &RunOptions::functional_only(),
-    );
-    let c_out = sim.mem.read_f32_slice(bufs.c, cfg.c_len());
-
-    let mut a = vec![0.0f32; cfg.m * cfg.k];
-    let mut b = vec![0.0f32; cfg.k * cfg.n];
-    let mut c_ref = vec![0.0f32; cfg.c_len()];
-    fill_matrix(seed, &mut a);
-    fill_matrix(seed ^ 0x1111_1111, &mut b);
-    fill_matrix(seed ^ 0x2222_2222, &mut c_ref);
-    widening_reference(cfg, &a, &b, &mut c_ref);
-    widening_rel_error(&c_out, &c_ref)
-}
-
-/// Timing-only run of `program` on untouched packed operands.
-pub(crate) fn model_widening_program_stats(
-    cfg: &WideningGemmConfig,
-    program: &Program,
-    layout: WideningPackLayout,
-) -> ExecStats {
-    let mut sim = Simulator::m4_performance();
-    let bufs = allocate_widening_buffers(cfg, &mut sim, None, layout);
-    let result = sim.run(
-        program,
-        &[bufs.a, bufs.b, bufs.c],
-        &RunOptions::timing_only(),
-    );
-    result.stats
-}
-
-/// Materialise the packed BF16 A/B operand images for `seed` in the given
-/// pack layout (the packing step of [`allocate_widening_buffers`], without
-/// a simulator).
-pub(crate) fn pack_widening_images(
-    cfg: &WideningGemmConfig,
-    seed: u64,
-    layout: WideningPackLayout,
-) -> crate::kernel::OperandImages {
-    let mut a = vec![0.0f32; cfg.m * cfg.k];
-    let mut b = vec![0.0f32; cfg.k * cfg.n];
-    fill_matrix(seed, &mut a);
-    fill_matrix(seed ^ 0x1111_1111, &mut b);
-    let (packed_a, packed_b) = match layout {
-        WideningPackLayout::Interleaved => (
-            pack_a_bf16(&a, cfg.m, cfg.m, cfg.k),
-            pack_b_bf16(&b, cfg.k, cfg.n, cfg.n),
-        ),
-        WideningPackLayout::Mmla => (
-            pack_a_bf16_mmla(&a, cfg.m, cfg.m, cfg.k),
-            pack_b_bf16_mmla(&b, cfg.k, cfg.n, cfg.n),
-        ),
-    };
-    crate::kernel::OperandImages {
-        a: u16_le_bytes(&packed_a),
-        b: u16_le_bytes(&packed_b),
-    }
-}
-
-/// Allocate widening operand buffers from pre-packed A/B images, seeding a
-/// fresh FP32 C. Bit-identical to the seeded arm of
-/// [`allocate_widening_buffers`] when `images` came from
-/// [`pack_widening_images`] with the same seed and layout.
-pub(crate) fn allocate_widening_buffers_from_images(
-    cfg: &WideningGemmConfig,
-    sim: &mut Simulator,
-    seed: u64,
-    images: &crate::kernel::OperandImages,
-) -> crate::kernel::GemmBuffers {
-    let align = crate::kernel::OPERAND_ALIGN;
-    let a = sim.mem.alloc(images.a.len() as u64, align);
-    sim.mem.write_bytes(a, &images.a);
-    let b = sim.mem.alloc(images.b.len() as u64, align);
-    sim.mem.write_bytes(b, &images.b);
-    let mut c = vec![0.0f32; cfg.c_len()];
-    fill_matrix(seed ^ 0x2222_2222, &mut c);
-    crate::kernel::GemmBuffers {
-        a,
-        b,
-        c: sim.mem.alloc_f32(&c, align),
-    }
-}
-
-/// Little-endian byte image of a `u16` slice.
-fn u16_le_bytes(data: &[u16]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(data.len() * 2);
-    for v in data {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    bytes
-}
-
-fn write_u16_slice(sim: &mut Simulator, addr: u64, data: &[u16]) {
-    let mut bytes = Vec::with_capacity(data.len() * 2);
-    for v in data {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    sim.mem.write_bytes(addr, &bytes);
-}
-
-/// A generated SME BF16 → FP32 kernel.
-#[derive(Debug, Clone)]
-pub struct WideningKernel {
-    cfg: WideningGemmConfig,
-    candidate: PlanCandidate,
-    program: Program,
-    timing: OnceLock<ExecStats>,
-}
-
-impl WideningKernel {
-    /// The configuration (with the candidate's knobs applied).
-    pub fn config(&self) -> &WideningGemmConfig {
-        &self.cfg
-    }
-
-    /// The tuning candidate the kernel was generated from.
-    pub fn candidate(&self) -> &PlanCandidate {
-        &self.candidate
-    }
-
-    /// The generated instruction stream.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Assembly listing.
-    pub fn disassembly(&self) -> String {
-        sme_isa::disasm::disassemble_program(&self.program)
-    }
-
-    /// Floating-point operations per kernel execution.
-    pub fn flops(&self) -> u64 {
-        self.cfg.flops()
-    }
-
-    /// Execute functionally on pre-packed operands already placed in the
-    /// simulator's memory.
-    pub fn run(&self, sim: &mut Simulator, a: u64, b: u64, c: u64, opts: &RunOptions) {
-        sim.run(&self.program, &[a, b, c], opts);
-    }
-
-    /// Validate against the scalar BF16-rounded oracle
-    /// ([`widening_reference`]); returns the maximum **relative** error
-    /// (assert it below [`WIDENING_REL_TOL`]).
-    pub fn validate(&self, seed: u64) -> f32 {
-        validate_widening_program(
-            &self.cfg,
-            &self.program,
-            seed,
-            WideningPackLayout::Interleaved,
-        )
-    }
-
-    /// Timing-only execution statistics on one performance core
-    /// (memoized: the timing model runs on the first call only).
-    pub fn model_stats(&self) -> &ExecStats {
-        self.timing.get_or_init(|| {
-            model_widening_program_stats(&self.cfg, &self.program, WideningPackLayout::Interleaved)
-        })
-    }
-
-    /// Modelled throughput (GFLOPS) on one performance core.
-    pub fn model_gflops(&self) -> f64 {
-        let seconds = self.model_stats().seconds();
-        if seconds == 0.0 {
-            0.0
-        } else {
-            self.cfg.flops() as f64 / seconds / 1e9
-        }
-    }
-}
-
 /// The candidate the widening generators use with no tuning: the SME
 /// backend with the 32×32 homogeneous plan (edge tiles masked), the
 /// baseline an argmin over [`enumerate_widening_candidates`] can never lose
@@ -655,12 +404,14 @@ pub fn prune_dominated_widening_candidates(
 /// Generate the default SME BF16 → FP32 kernel for `cfg` (the 32×32
 /// homogeneous plan with the configuration's own knobs; remainder tiles
 /// are masked).
-pub fn generate_widening(cfg: &WideningGemmConfig) -> Result<WideningKernel, GemmError> {
+pub fn generate_widening(cfg: &WideningGemmConfig) -> Result<RoutedKernel, GemmError> {
     generate_widening_tuned(cfg, &default_widening_candidate(cfg))
 }
 
 /// Generate an SME BF16 → FP32 kernel from a tuning candidate — the
-/// dispatch path used by the runtime's cache and cross-backend tuner.
+/// dispatch path used by the runtime's cache and cross-backend tuner. The
+/// kernel reads the 2-way interleaved operands of [`pack_a_bf16`] /
+/// [`pack_b_bf16`] ([`crate::kernel::OperandLayout::InterleavedBf16`]).
 ///
 /// Blocks whose extent exceeds the remaining rows/columns are emitted as
 /// **predicated partial tiles**: per-group `whilelt` predicates gate the
@@ -677,7 +428,7 @@ pub fn generate_widening(cfg: &WideningGemmConfig) -> Result<WideningKernel, Gem
 pub fn generate_widening_tuned(
     cfg: &WideningGemmConfig,
     candidate: &PlanCandidate,
-) -> Result<WideningKernel, GemmError> {
+) -> Result<RoutedKernel, GemmError> {
     if candidate.backend != Backend::Sme {
         return Err(GemmError::Unsupported(format!(
             "generate_widening_tuned emits SME kernels only; a {} candidate must go \
@@ -782,12 +533,7 @@ pub fn generate_widening_tuned(
 
     asm.push(SmeInst::Smstop { za_only: false });
     asm.ret();
-    Ok(WideningKernel {
-        cfg,
-        candidate: *candidate,
-        program: asm.finish(),
-        timing: OnceLock::new(),
-    })
+    Ok(RoutedKernel::new(cfg, Backend::Sme, None, asm.finish()))
 }
 
 /// Emit the predicate setup for one widening block.
@@ -1129,8 +875,9 @@ mod tests {
                 continue;
             }
             let kernel = generate_widening_tuned(&cfg, &candidate).expect("tuned generation");
-            assert_eq!(kernel.config().c_transfer, candidate.c_transfer);
-            assert_eq!(kernel.config().k_unroll, candidate.k_unroll);
+            let tuned = *kernel.any_config().as_widening().expect("widening kernel");
+            assert_eq!(tuned.c_transfer, candidate.c_transfer);
+            assert_eq!(tuned.k_unroll, candidate.k_unroll);
             let err = kernel.validate(0xACE);
             assert!(err < WIDENING_REL_TOL, "{candidate:?}: {err}");
         }

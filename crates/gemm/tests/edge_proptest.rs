@@ -18,8 +18,8 @@
 
 use proptest::prelude::*;
 use sme_gemm::{
-    generate_any_backend, validate_neon, widening_rel_error, AnyGemmConfig, Backend, Beta,
-    GemmConfig, RoutedKernel, WideningGemmConfig, WIDENING_REL_TOL,
+    generate_any_backend, widening_rel_error, AnyGemmConfig, Backend, Beta, GemmConfig,
+    RoutedKernel, WideningGemmConfig, WIDENING_REL_TOL,
 };
 use sme_machine::exec::{RunOptions, Simulator};
 
@@ -88,7 +88,9 @@ proptest! {
         if beta_zero {
             cfg = cfg.with_beta(Beta::Zero);
         }
-        let err = validate_neon(&cfg, seed.max(1)).expect("even extents compile");
+        let err = generate_any_backend(&cfg.into(), Backend::Neon)
+            .expect("even extents compile")
+            .validate(seed.max(1));
         prop_assert!(err < 1e-4, "{}: Neon edge error {}", cfg, err);
     }
 }

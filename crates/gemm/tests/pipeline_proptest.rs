@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sme_gemm::{
-    generate_routed, pipeline_supported, Beta, GemmConfig, KernelSchedule, PlanCandidate,
+    generate_any_routed, pipeline_supported, Beta, GemmConfig, KernelSchedule, PlanCandidate,
     RoutedKernel,
 };
 use sme_machine::exec::{RunOptions, Simulator};
@@ -48,8 +48,9 @@ proptest! {
             schedule: KernelSchedule::Pipelined,
             ..serial
         };
-        let serial = generate_routed(&cfg, &serial).expect("serial default compiles");
-        let pipelined = generate_routed(&cfg, &pipelined).expect("pipelined twin compiles");
+        let serial = generate_any_routed(&cfg.into(), &serial).expect("serial default compiles");
+        let pipelined =
+            generate_any_routed(&cfg.into(), &pipelined).expect("pipelined twin compiles");
 
         let err = pipelined.validate(seed.max(1));
         prop_assert!(err < 1e-4, "{}: pipelined error {} vs the oracle", cfg, err);

@@ -1,7 +1,7 @@
 //! Property-based check that a kernel's memoized timing *is* the timing
 //! model, bit for bit.
 //!
-//! Every kernel handle times itself once (`model_stats`, a timing-only run
+//! Every kernel times itself once (`model_stats`, a timing-only run
 //! on untouched operands) and the serving path reuses that result for each
 //! request it executes functional-only. That is exact only because
 //! generated kernels have no data-dependent control flow and the memory

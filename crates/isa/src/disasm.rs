@@ -1,8 +1,8 @@
 //! Textual disassembly of programs and machine-code buffers.
 //!
-//! Used by the generator's debugging interface (`CompiledKernel::disassembly`)
-//! and by golden tests that compare generated code against the paper's
-//! listings.
+//! Used by the generator's debugging interface (`RoutedKernel::disassembly`
+//! in `sme-gemm`) and by golden tests that compare generated code against
+//! the paper's listings.
 
 use crate::decode::decode;
 use crate::inst::Inst;

@@ -563,7 +563,7 @@ mod tests {
         assert_eq!(report.plan_check, Some(FingerprintCheck::Match));
         assert_eq!(router.telemetry().total_requests(), 3);
         assert_eq!(router.top_shapes(1)[0].config, hot.into());
-        assert!(router.cache().lookup_tuned(&hot).is_some());
+        assert!(router.cache().lookup_tuned_any(&hot.into()).is_some());
 
         // The first tick of the new process warms the cache from the
         // restored ranking without re-tuning…
@@ -653,7 +653,7 @@ mod tests {
         handle.stop();
         assert!(daemon.config().telemetry_path.exists(), "daemon persisted");
         assert!(
-            router.cache().lookup_tuned(&cfg).is_some(),
+            router.cache().lookup_tuned_any(&cfg.into()).is_some(),
             "daemon tuned the hot shape in the background"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -688,7 +688,7 @@ mod tests {
             report.plan_check,
             Some(FingerprintCheck::Mismatch { .. })
         ));
-        assert!(router.cache().lookup_tuned(&hot).is_none());
+        assert!(router.cache().lookup_tuned_any(&hot.into()).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -63,8 +63,8 @@
 //! let report = router.dispatch(&batch).expect("valid batch");
 //!
 //! // The router split the batch across engine classes…
-//! assert_eq!(router.route(&tiny), Backend::Neon);
-//! assert_eq!(router.route(&dense), Backend::Sme);
+//! assert_eq!(router.route_any(&tiny.into()), Backend::Neon);
+//! assert_eq!(router.route_any(&dense.into()), Backend::Sme);
 //! assert_eq!(router.route_any(&bf16.into()), Backend::Sme);
 //! let (sme_load, neon_load) = report.placement.class_load_cycles();
 //! assert!(sme_load > 0.0 && neon_load > 0.0);

@@ -5,8 +5,7 @@ use crate::planner::{plan_batch_placed, GroupCost, PlacementPlan};
 use crate::policy::{heuristic_backend_any, RoutingPolicy};
 use crate::telemetry::{ShapeStats, TelemetryRegistry};
 use sme_gemm::{
-    backend_supports, default_any_candidate, AnyGemmConfig, Backend, GemmConfig, GemmError,
-    RoutedKernel,
+    backend_supports, default_any_candidate, AnyGemmConfig, Backend, GemmError, RoutedKernel,
 };
 use sme_machine::multicore::MulticoreModel;
 use sme_machine::MachineConfig;
@@ -147,12 +146,6 @@ impl Router {
     /// The attached observability hub, if any.
     pub fn obs(&self) -> Option<&Arc<ObsHub>> {
         self.cache().obs()
-    }
-
-    /// Decide which backend serves an FP32 `cfg` under the active policy
-    /// (see [`Router::route_any`]).
-    pub fn route(&self, cfg: &GemmConfig) -> Backend {
-        self.route_any(&AnyGemmConfig::Fp32(*cfg))
     }
 
     /// Decide which backend serves a configuration of either datatype under
@@ -451,12 +444,6 @@ impl Router {
         self.telemetry.top_shapes(n)
     }
 
-    /// Autotune an FP32 `cfg` across both backends and install the winner
-    /// (see [`Router::tune_any`]).
-    pub fn tune(&self, cfg: &GemmConfig, opts: &TunerOptions) -> Result<TuneOutcome, GemmError> {
-        self.service.tune(cfg, opts)
-    }
-
     /// Autotune a configuration of either datatype across both backends
     /// and install the winner, so subsequent routing and dispatch follow
     /// the simulated argmin.
@@ -491,6 +478,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sme_gemm::GemmConfig;
 
     #[test]
     fn policies_route_as_documented() {
@@ -500,24 +488,32 @@ mod tests {
         let col_major = GemmConfig::ab(33, 47, 5); // Neon cannot compile
 
         let sme_only = Router::with_policy(8, RoutingPolicy::SmeOnly);
-        assert_eq!(sme_only.route(&tiny), Backend::Sme);
-        assert_eq!(sme_only.route(&large), Backend::Sme);
+        assert_eq!(sme_only.route_any(&tiny.into()), Backend::Sme);
+        assert_eq!(sme_only.route_any(&large.into()), Backend::Sme);
 
         let neon_only = Router::with_policy(8, RoutingPolicy::NeonOnly);
-        assert_eq!(neon_only.route(&tiny), Backend::Neon);
-        assert_eq!(neon_only.route(&large), Backend::Neon);
+        assert_eq!(neon_only.route_any(&tiny.into()), Backend::Neon);
+        assert_eq!(neon_only.route_any(&large.into()), Backend::Neon);
         assert_eq!(
-            neon_only.route(&ragged),
+            neon_only.route_any(&ragged.into()),
             Backend::Neon,
             "odd shapes compile"
         );
-        assert_eq!(neon_only.route(&col_major), Backend::Sme, "fallback");
+        assert_eq!(
+            neon_only.route_any(&col_major.into()),
+            Backend::Sme,
+            "fallback"
+        );
 
         for policy in [RoutingPolicy::Heuristic, RoutingPolicy::Measured] {
             let router = Router::with_policy(8, policy);
-            assert_eq!(router.route(&tiny), Backend::Neon, "{policy:?}");
-            assert_eq!(router.route(&large), Backend::Sme, "{policy:?}");
-            assert_eq!(router.route(&col_major), Backend::Sme, "{policy:?}");
+            assert_eq!(router.route_any(&tiny.into()), Backend::Neon, "{policy:?}");
+            assert_eq!(router.route_any(&large.into()), Backend::Sme, "{policy:?}");
+            assert_eq!(
+                router.route_any(&col_major.into()),
+                Backend::Sme,
+                "{policy:?}"
+            );
         }
     }
 
@@ -525,18 +521,25 @@ mod tests {
     fn measured_probe_is_memoized_and_tuning_overrides_it() {
         let router = Router::new(8);
         let cfg = GemmConfig::abt(16, 4, 4);
-        assert_eq!(router.route(&cfg), Backend::Neon);
+        assert_eq!(router.route_any(&cfg.into()), Backend::Neon);
         assert_eq!(
             router.probe_memo.lock().unwrap().get(&cfg.into()).copied(),
             Some(Backend::Neon),
             "probe verdict memoized"
         );
         // Tuning installs a winner, which takes precedence over the memo.
-        let outcome = router.tune(&cfg, &TunerOptions::quick()).unwrap();
+        let outcome = router
+            .tune_any(&cfg.into(), &TunerOptions::quick())
+            .unwrap();
         assert_eq!(outcome.winner.backend, Backend::Neon);
-        assert_eq!(router.route(&cfg), Backend::Neon);
+        assert_eq!(router.route_any(&cfg.into()), Backend::Neon);
         assert_eq!(
-            router.cache().lookup_tuned(&cfg).unwrap().candidate.backend,
+            router
+                .cache()
+                .lookup_tuned_any(&cfg.into())
+                .unwrap()
+                .candidate
+                .backend,
             Backend::Neon
         );
     }
@@ -634,10 +637,10 @@ mod tests {
         // pretune_hot tunes the hottest shapes and installs their winners.
         let outcomes = router.pretune_hot(2, &TunerOptions::quick()).unwrap();
         assert_eq!(outcomes.len(), 2);
-        assert!(router.cache().lookup_tuned(&tiny).is_some());
-        assert!(router.cache().lookup_tuned(&large).is_some());
+        assert!(router.cache().lookup_tuned_any(&tiny.into()).is_some());
+        assert!(router.cache().lookup_tuned_any(&large.into()).is_some());
         // Routing now follows the tuned winners (hottest = large first).
-        assert_eq!(router.route(&large), outcomes[0].winner.backend);
+        assert_eq!(router.route_any(&large.into()), outcomes[0].winner.backend);
     }
 
     #[test]

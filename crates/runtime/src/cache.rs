@@ -5,8 +5,8 @@
 //! [`KernelCache`] closes that gap: it hands out `Arc<RoutedKernel>`
 //! clones on hit and compiles on miss, consulting the [`PlanStore`] first so
 //! that autotuned winners — not the default heterogeneous plan — become the
-//! dispatched kernels ([`sme_gemm::generate_routed`] is the tuned path,
-//! [`sme_gemm::generate_backend`] the fallback).
+//! dispatched kernels ([`sme_gemm::generate_any_routed`] is the tuned path,
+//! [`sme_gemm::generate_any_backend`] the fallback).
 //!
 //! Entries are keyed by **configuration plus backend**, where the
 //! configuration is the unified [`AnyGemmConfig`] key — FP32 and BF16
@@ -27,8 +27,7 @@ use crate::pack::PackedOperandCache;
 use crate::store::{tune_key_any, PlanStore, TunedRecord};
 use serde::json::Value;
 use sme_gemm::{
-    generate_any_backend, generate_any_routed, AnyGemmConfig, Backend, GemmConfig, GemmError,
-    RoutedKernel,
+    generate_any_backend, generate_any_routed, AnyGemmConfig, Backend, GemmError, RoutedKernel,
 };
 use sme_obs::{Counter, Gauge, Histogram, ObsHub, TraceCtx};
 use std::collections::hash_map::DefaultHasher;
@@ -127,7 +126,7 @@ impl Shard {
 }
 
 /// A sharded, thread-safe cache of compiled GEMM kernels keyed by
-/// [`GemmConfig`].
+/// [`AnyGemmConfig`] plus [`Backend`].
 #[derive(Debug)]
 pub struct KernelCache {
     shards: Vec<Mutex<Shard>>,
@@ -253,51 +252,12 @@ impl KernelCache {
         }
     }
 
-    /// FP32 convenience for [`KernelCache::preferred_backend_any`].
-    pub fn preferred_backend(&self, cfg: &GemmConfig) -> Backend {
-        self.preferred_backend_any(&AnyGemmConfig::Fp32(*cfg))
-    }
-
-    /// Fetch the kernel for an FP32 `cfg` on the cache's preferred backend,
-    /// compiling it on miss.
-    pub fn get_or_compile(&self, cfg: &GemmConfig) -> Result<Arc<RoutedKernel>, GemmError> {
-        self.get_or_compile_any(&AnyGemmConfig::Fp32(*cfg))
-    }
-
     /// Fetch the kernel for a configuration of either datatype on the
     /// cache's preferred backend (see
     /// [`KernelCache::preferred_backend_any`]), compiling it on miss.
     pub fn get_or_compile_any(&self, cfg: &AnyGemmConfig) -> Result<Arc<RoutedKernel>, GemmError> {
-        self.get_or_compile_backend_any(cfg, self.preferred_backend_any(cfg))
-    }
-
-    /// Fetch the kernel for an FP32 `cfg` compiled for `backend`, compiling
-    /// it on miss (see [`KernelCache::fetch_any`]).
-    pub fn get_or_compile_backend(
-        &self,
-        cfg: &GemmConfig,
-        backend: Backend,
-    ) -> Result<Arc<RoutedKernel>, GemmError> {
-        self.fetch(cfg, backend).map(|(kernel, _)| kernel)
-    }
-
-    /// Fetch the kernel for a configuration of either datatype compiled for
-    /// `backend`, compiling it on miss (see [`KernelCache::fetch_any`]).
-    pub fn get_or_compile_backend_any(
-        &self,
-        cfg: &AnyGemmConfig,
-        backend: Backend,
-    ) -> Result<Arc<RoutedKernel>, GemmError> {
-        self.fetch_any(cfg, backend).map(|(kernel, _)| kernel)
-    }
-
-    /// FP32 convenience for [`KernelCache::fetch_any`].
-    pub fn fetch(
-        &self,
-        cfg: &GemmConfig,
-        backend: Backend,
-    ) -> Result<(Arc<RoutedKernel>, bool), GemmError> {
-        self.fetch_any(&AnyGemmConfig::Fp32(*cfg), backend)
+        self.fetch_any(cfg, self.preferred_backend_any(cfg))
+            .map(|(kernel, _)| kernel)
     }
 
     /// Fetch the kernel for a configuration of either datatype compiled for
@@ -402,20 +362,9 @@ impl KernelCache {
         Ok((kernel, false))
     }
 
-    /// Look up an FP32 `cfg` on its preferred backend without compiling or
-    /// touching the counters (recency is still refreshed on hit).
-    pub fn peek(&self, cfg: &GemmConfig) -> Option<Arc<RoutedKernel>> {
-        let cfg = AnyGemmConfig::Fp32(*cfg);
-        self.peek_backend_any(&cfg, self.preferred_backend_any(&cfg))
-    }
-
-    /// FP32 convenience for [`KernelCache::peek_backend_any`].
-    pub fn peek_backend(&self, cfg: &GemmConfig, backend: Backend) -> Option<Arc<RoutedKernel>> {
-        self.peek_backend_any(&AnyGemmConfig::Fp32(*cfg), backend)
-    }
-
     /// Look up a configuration of either datatype compiled for `backend`
-    /// without compiling or touching the counters.
+    /// without compiling or touching the counters (recency is still
+    /// refreshed on hit).
     pub fn peek_backend_any(
         &self,
         cfg: &AnyGemmConfig,
@@ -423,11 +372,6 @@ impl KernelCache {
     ) -> Option<Arc<RoutedKernel>> {
         let key = (*cfg, backend);
         lock_shard(self.shard_for(&key)).get(&key)
-    }
-
-    /// Drop every cached kernel for an FP32 `cfg` (all backends).
-    pub fn invalidate(&self, cfg: &GemmConfig) -> bool {
-        self.invalidate_any(&AnyGemmConfig::Fp32(*cfg))
     }
 
     /// Drop every cached kernel for a configuration of either datatype
@@ -447,12 +391,6 @@ impl KernelCache {
         dropped
     }
 
-    /// Install a tuned winner for an FP32 `cfg` (see
-    /// [`KernelCache::install_tuned_any`]).
-    pub fn install_tuned(&self, cfg: &GemmConfig, record: TunedRecord) {
-        self.install_tuned_any(&AnyGemmConfig::Fp32(*cfg), record)
-    }
-
     /// Install a tuned winner for a configuration of either datatype and
     /// invalidate every cached kernel (on any backend) that shares its
     /// tuning key, so the next request compiles the tuned variant.
@@ -464,12 +402,6 @@ impl KernelCache {
                 .entries
                 .retain(|((c, _), _)| tune_key_any(c) != key);
         }
-    }
-
-    /// The tuned record that would be used for an FP32 `cfg`, if one is
-    /// stored.
-    pub fn lookup_tuned(&self, cfg: &GemmConfig) -> Option<TunedRecord> {
-        self.lookup_tuned_any(&AnyGemmConfig::Fp32(*cfg))
     }
 
     /// The tuned record that would be used for a configuration of either
@@ -530,14 +462,26 @@ impl KernelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::tune_key;
-    use sme_gemm::{KernelSchedule, PlanCandidate, PlanKind, ZaTransferStrategy};
+    use crate::store::tune_key_any;
+    use sme_gemm::{GemmConfig, KernelSchedule, PlanCandidate, PlanKind, ZaTransferStrategy};
+
+    /// The FP32 key of an `A·Bᵀ` shape.
+    fn abt(m: usize, n: usize, k: usize) -> AnyGemmConfig {
+        GemmConfig::abt(m, n, k).into()
+    }
+
+    /// Whether `cfg` is cached on its preferred backend.
+    fn cached(cache: &KernelCache, cfg: &AnyGemmConfig) -> bool {
+        cache
+            .peek_backend_any(cfg, cache.preferred_backend_any(cfg))
+            .is_some()
+    }
 
     #[test]
     fn second_request_hits_without_compiling() {
         let cache = KernelCache::new(16);
-        let cfg = GemmConfig::abt(32, 32, 8);
-        let first = cache.get_or_compile(&cfg).unwrap();
+        let cfg = abt(32, 32, 8);
+        let first = cache.get_or_compile_any(&cfg).unwrap();
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -546,7 +490,7 @@ mod tests {
                 ..Default::default()
             }
         );
-        let second = cache.get_or_compile(&cfg).unwrap();
+        let second = cache.get_or_compile_any(&cfg).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "same compiled kernel object");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -558,28 +502,28 @@ mod tests {
         // Capacity 8 over 8 shards = 1 kernel per shard: two configurations
         // that land in the same shard must displace each other.
         let cache = KernelCache::new(8);
-        let shard_of = |cfg: &GemmConfig| {
+        let shard_of = |cfg: &AnyGemmConfig| {
             let mut hasher = DefaultHasher::new();
-            (AnyGemmConfig::Fp32(*cfg), Backend::Sme).hash(&mut hasher);
+            (*cfg, Backend::Sme).hash(&mut hasher);
             (hasher.finish() as usize) % SHARDS
         };
         // Find two configs sharing a shard.
-        let mut cfgs = vec![GemmConfig::abt(16, 16, 4)];
+        let mut cfgs = vec![abt(16, 16, 4)];
         let mut k = 4;
         while cfgs.len() < 2 {
             k += 4;
-            let candidate = GemmConfig::abt(16, 16, k);
+            let candidate = abt(16, 16, k);
             if shard_of(&candidate) == shard_of(&cfgs[0]) {
                 cfgs.push(candidate);
             }
         }
-        cache.get_or_compile(&cfgs[0]).unwrap();
-        cache.get_or_compile(&cfgs[1]).unwrap();
+        cache.get_or_compile_any(&cfgs[0]).unwrap();
+        cache.get_or_compile_any(&cfgs[1]).unwrap();
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.peek(&cfgs[0]).is_none(), "LRU entry evicted");
-        assert!(cache.peek(&cfgs[1]).is_some());
+        assert!(!cached(&cache, &cfgs[0]), "LRU entry evicted");
+        assert!(cached(&cache, &cfgs[1]));
         // Re-requesting the evicted config is a miss again.
-        cache.get_or_compile(&cfgs[0]).unwrap();
+        cache.get_or_compile_any(&cfgs[0]).unwrap();
         assert_eq!(cache.stats().misses, 3);
     }
 
@@ -589,36 +533,37 @@ mod tests {
         // same-shard configs, touch the older one, insert a third — the
         // middle one must be the victim.
         let cache = KernelCache::new(16);
-        let shard_of = |cfg: &GemmConfig| {
+        let shard_of = |cfg: &AnyGemmConfig| {
             let mut hasher = DefaultHasher::new();
-            (AnyGemmConfig::Fp32(*cfg), Backend::Sme).hash(&mut hasher);
+            (*cfg, Backend::Sme).hash(&mut hasher);
             (hasher.finish() as usize) % SHARDS
         };
         let mut same_shard = Vec::new();
         let mut k = 0;
         while same_shard.len() < 3 {
             k += 4;
-            let cfg = GemmConfig::abt(16, 16, k);
+            let cfg = abt(16, 16, k);
             if same_shard.is_empty() || shard_of(&cfg) == shard_of(&same_shard[0]) {
                 same_shard.push(cfg);
             }
         }
-        cache.get_or_compile(&same_shard[0]).unwrap();
-        cache.get_or_compile(&same_shard[1]).unwrap();
-        cache.get_or_compile(&same_shard[0]).unwrap(); // refresh [0]
-        cache.get_or_compile(&same_shard[2]).unwrap(); // evicts [1]
-        assert!(cache.peek(&same_shard[0]).is_some());
-        assert!(cache.peek(&same_shard[1]).is_none());
-        assert!(cache.peek(&same_shard[2]).is_some());
+        cache.get_or_compile_any(&same_shard[0]).unwrap();
+        cache.get_or_compile_any(&same_shard[1]).unwrap();
+        cache.get_or_compile_any(&same_shard[0]).unwrap(); // refresh [0]
+        cache.get_or_compile_any(&same_shard[2]).unwrap(); // evicts [1]
+        assert!(cached(&cache, &same_shard[0]));
+        assert!(!cached(&cache, &same_shard[1]));
+        assert!(cached(&cache, &same_shard[2]));
     }
 
     #[test]
     fn tuned_records_drive_compilation() {
         let cache = KernelCache::new(16);
-        let cfg = GemmConfig::abt(40, 40, 16);
+        let fp32 = GemmConfig::abt(40, 40, 16);
+        let cfg = fp32.into();
         // Without a record: default compile.
-        let plain = cache.get_or_compile(&cfg).unwrap();
-        assert_eq!(plain.fp32_config().unwrap().c_transfer, cfg.c_transfer);
+        let plain = cache.get_or_compile_any(&cfg).unwrap();
+        assert_eq!(plain.fp32_config().unwrap().c_transfer, fp32.c_transfer);
         assert_eq!(cache.stats().tuned_compiles, 0);
 
         // Installing a winner invalidates and redirects the next compile.
@@ -633,76 +578,76 @@ mod tests {
             tuned_cycles: 10.0,
             default_cycles: 20.0,
         };
-        cache.install_tuned(&cfg, record);
-        assert!(cache.peek(&cfg).is_none(), "stale kernel invalidated");
-        let tuned = cache.get_or_compile(&cfg).unwrap();
+        cache.install_tuned_any(&cfg, record);
+        assert!(!cached(&cache, &cfg), "stale kernel invalidated");
+        let tuned = cache.get_or_compile_any(&cfg).unwrap();
         assert_eq!(
             tuned.fp32_config().unwrap().c_transfer,
             ZaTransferStrategy::Direct
         );
         assert_eq!(tuned.fp32_config().unwrap().k_unroll, 4);
         assert_eq!(cache.stats().tuned_compiles, 1);
-        assert_eq!(cache.lookup_tuned(&cfg).unwrap(), record);
+        assert_eq!(cache.lookup_tuned_any(&cfg).unwrap(), record);
 
         // A knob-variant of the same shape shares the tuned record…
-        let variant = cfg.with_k_unroll(2);
-        assert_eq!(tune_key(&variant), tune_key(&cfg));
-        let tuned2 = cache.get_or_compile(&variant).unwrap();
+        let variant = fp32.with_k_unroll(2).into();
+        assert_eq!(tune_key_any(&variant), tune_key_any(&cfg));
+        let tuned2 = cache.get_or_compile_any(&variant).unwrap();
         assert_eq!(tuned2.fp32_config().unwrap().k_unroll, 4, "tuned knobs win");
         // …and replace_store drops everything.
         cache.replace_store(PlanStore::new());
         assert!(cache.is_empty());
-        assert_eq!(cache.lookup_tuned(&cfg), None);
+        assert_eq!(cache.lookup_tuned_any(&cfg), None);
     }
 
     #[test]
     fn backends_cache_independently_and_tuned_neon_winners_route() {
         let cache = KernelCache::new(16);
-        let cfg = GemmConfig::abt(16, 4, 4);
+        let fp32 = GemmConfig::abt(16, 4, 4);
+        let cfg = fp32.into();
 
         // The same configuration compiles once per backend…
-        let (sme, hit) = cache.fetch(&cfg, Backend::Sme).unwrap();
+        let (sme, hit) = cache.fetch_any(&cfg, Backend::Sme).unwrap();
         assert!(!hit);
         assert_eq!(sme.backend(), Backend::Sme);
-        let (neon, hit) = cache.fetch(&cfg, Backend::Neon).unwrap();
+        let (neon, hit) = cache.fetch_any(&cfg, Backend::Neon).unwrap();
         assert!(!hit);
         assert_eq!(neon.backend(), Backend::Neon);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.len(), 2);
         // …and each repeat hits its own entry.
-        let (again, hit) = cache.fetch(&cfg, Backend::Neon).unwrap();
+        let (again, hit) = cache.fetch_any(&cfg, Backend::Neon).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&neon, &again));
 
         // Installing a Neon winner redirects the backend-agnostic path.
-        assert_eq!(cache.preferred_backend(&cfg), Backend::Sme);
-        cache.install_tuned(
+        assert_eq!(cache.preferred_backend_any(&cfg), Backend::Sme);
+        cache.install_tuned_any(
             &cfg,
             TunedRecord {
-                candidate: PlanCandidate::neon_for(&cfg).expect("neon-supported shape"),
+                candidate: PlanCandidate::neon_for(&fp32).expect("neon-supported shape"),
                 tuned_cycles: 10.0,
                 default_cycles: 20.0,
             },
         );
-        assert_eq!(cache.preferred_backend(&cfg), Backend::Neon);
+        assert_eq!(cache.preferred_backend_any(&cfg), Backend::Neon);
         assert!(cache.is_empty(), "both backends' kernels invalidated");
-        let routed = cache.get_or_compile(&cfg).unwrap();
+        let routed = cache.get_or_compile_any(&cfg).unwrap();
         assert_eq!(routed.backend(), Backend::Neon);
         assert_eq!(cache.stats().tuned_compiles, 1);
 
         // An explicit SME request still compiles the SME kernel (without
         // counting as a tuned compile: the record is for the other engine).
-        let (sme2, _) = cache.fetch(&cfg, Backend::Sme).unwrap();
+        let (sme2, _) = cache.fetch_any(&cfg, Backend::Sme).unwrap();
         assert_eq!(sme2.backend(), Backend::Sme);
         assert_eq!(cache.stats().tuned_compiles, 1);
 
         // Ragged shapes now compile on Neon; a layout the backend cannot
         // compile (column-major B) still reports the error.
-        let ragged = GemmConfig::abt(33, 47, 8);
-        assert!(cache.fetch(&ragged, Backend::Neon).is_ok());
-        let col_major = GemmConfig::ab(33, 47, 8);
-        assert!(cache.fetch(&col_major, Backend::Neon).is_err());
-        assert!(cache.fetch(&col_major, Backend::Sme).is_ok());
+        assert!(cache.fetch_any(&abt(33, 47, 8), Backend::Neon).is_ok());
+        let col_major = GemmConfig::ab(33, 47, 8).into();
+        assert!(cache.fetch_any(&col_major, Backend::Neon).is_err());
+        assert!(cache.fetch_any(&col_major, Backend::Sme).is_ok());
     }
 
     #[test]
@@ -712,26 +657,27 @@ mod tests {
         // ran). The backend-agnostic path must ignore it and serve the SME
         // default, not propagate the Neon generator's error.
         let cache = KernelCache::new(16);
-        let cfg = GemmConfig::ab(33, 47, 8); // column-major B is Neon-invalid
-        cache.install_tuned(
+        let fp32 = GemmConfig::ab(33, 47, 8); // column-major B is Neon-invalid
+        let cfg = fp32.into();
+        cache.install_tuned_any(
             &cfg,
             TunedRecord {
                 candidate: PlanCandidate {
                     backend: Backend::Neon,
-                    ..PlanCandidate::default_for(&cfg)
+                    ..PlanCandidate::default_for(&fp32)
                 },
                 tuned_cycles: 1.0,
                 default_cycles: 1.0,
             },
         );
-        assert_eq!(cache.preferred_backend(&cfg), Backend::Sme);
+        assert_eq!(cache.preferred_backend_any(&cfg), Backend::Sme);
         let kernel = cache
-            .get_or_compile(&cfg)
+            .get_or_compile_any(&cfg)
             .expect("valid configuration must stay dispatchable");
         assert_eq!(kernel.backend(), Backend::Sme);
         assert!(kernel.validate(5) < 1e-4);
         // An explicit Neon request still reports the honest error.
-        assert!(cache.fetch(&cfg, Backend::Neon).is_err());
+        assert!(cache.fetch_any(&cfg, Backend::Neon).is_err());
     }
 
     #[test]
@@ -739,9 +685,9 @@ mod tests {
         // A store built in memory can carry records load-time validation
         // never saw; the cache must degrade to the default plan rather
         // than hard-fail a valid configuration.
-        let cfg = GemmConfig::ab(32, 32, 8);
+        let cfg = GemmConfig::ab(32, 32, 8).into();
         let mut store = PlanStore::new();
-        store.insert(
+        store.insert_any(
             &cfg,
             TunedRecord {
                 // Heterogeneous is incompatible with column-major B.
@@ -757,7 +703,9 @@ mod tests {
             },
         );
         let cache = KernelCache::with_store(16, store);
-        let kernel = cache.get_or_compile(&cfg).expect("falls back to default");
+        let kernel = cache
+            .get_or_compile_any(&cfg)
+            .expect("falls back to default");
         assert!(kernel.validate(5) < 1e-4);
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
@@ -767,13 +715,12 @@ mod tests {
     #[test]
     fn invalidate_and_len_track_entries() {
         let cache = KernelCache::new(16);
-        let a = GemmConfig::abt(16, 16, 4);
-        let b = GemmConfig::abt(16, 16, 8);
-        cache.get_or_compile(&a).unwrap();
-        cache.get_or_compile(&b).unwrap();
+        let a = abt(16, 16, 4);
+        cache.get_or_compile_any(&a).unwrap();
+        cache.get_or_compile_any(&abt(16, 16, 8)).unwrap();
         assert_eq!(cache.len(), 2);
-        assert!(cache.invalidate(&a));
-        assert!(!cache.invalidate(&a), "already gone");
+        assert!(cache.invalidate_any(&a));
+        assert!(!cache.invalidate_any(&a), "already gone");
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
     }
@@ -781,8 +728,7 @@ mod tests {
     #[test]
     fn invalid_configurations_propagate_errors_and_are_not_cached() {
         let cache = KernelCache::new(16);
-        let bad = GemmConfig::abt(0, 16, 4);
-        assert!(cache.get_or_compile(&bad).is_err());
+        assert!(cache.get_or_compile_any(&abt(0, 16, 4)).is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 1);
     }
@@ -792,10 +738,10 @@ mod tests {
         let cache = KernelCache::new(16);
         let hub = ObsHub::shared(64);
         cache.attach_obs(hub.clone());
-        let cfgs: Vec<GemmConfig> = (1..=3).map(|i| GemmConfig::abt(16 * i, 16, 8)).collect();
-        for cfg in &cfgs {
-            cache.get_or_compile(cfg).unwrap();
-            cache.get_or_compile(cfg).unwrap();
+        for i in 1..=3 {
+            let cfg = abt(16 * i, 16, 8);
+            cache.get_or_compile_any(&cfg).unwrap();
+            cache.get_or_compile_any(&cfg).unwrap();
         }
         // The cache-wide snapshot is the sum of the per-shard snapshots.
         let total = cache.stats();
@@ -840,14 +786,14 @@ mod tests {
     #[test]
     fn concurrent_requests_compile_each_kernel_once() {
         let cache = Arc::new(KernelCache::new(64));
-        let cfgs: Vec<GemmConfig> = (1..=4).map(|i| GemmConfig::abt(16 * i, 16, 8)).collect();
+        let cfgs: Vec<AnyGemmConfig> = (1..=4).map(|i| abt(16 * i, 16, 8)).collect();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let cache = cache.clone();
                 let cfgs = cfgs.clone();
                 scope.spawn(move || {
                     for cfg in &cfgs {
-                        cache.get_or_compile(cfg).unwrap();
+                        cache.get_or_compile_any(cfg).unwrap();
                     }
                 });
             }

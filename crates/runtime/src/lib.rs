@@ -58,14 +58,16 @@
 //!
 //! // Autotuning can only improve the modelled cycle count, and the winner
 //! // is installed so later dispatches use it.
-//! let outcome = service.tune(&cfg, &TunerOptions::quick()).expect("tunable");
+//! let outcome = service
+//!     .tune_any(&cfg.into(), &TunerOptions::quick())
+//!     .expect("tunable");
 //! assert!(outcome.tuned_cycles <= outcome.default_cycles);
 //!
 //! // Winners persist as a small JSON document…
 //! let json = service.cache().export_store().to_json();
 //! // …that a later process can load back.
 //! let store = PlanStore::from_json(&json).expect("well-formed store");
-//! assert!(store.lookup(&cfg).is_some());
+//! assert!(store.lookup_any(&cfg.into()).is_some());
 //! ```
 
 #![warn(missing_docs)]
@@ -86,16 +88,14 @@ pub use fault::{
     clear_injector, install_injector, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule,
     SitePattern,
 };
-pub use pack::{PackLayout, PackStats, PackedOperandCache};
+pub use pack::{PackStats, PackedOperandCache};
 pub use persist::{
     backup_path, load_snapshot, parse_snapshot, read_snapshot, save_snapshot, FingerprintCheck,
     Recovered, Snapshot, SnapshotError, SnapshotSource,
 };
 pub use service::{BatchReport, ConfigReport, GemmRequest, GemmService, RequestFailure};
-pub use store::{
-    tune_key, tune_key_any, PlanStore, RecoveredStore, TunedRecord, PLAN_STORE_VERSION,
-};
-pub use tuner::{tune, tune_any, tune_any_into_store, tune_into_store, TuneOutcome, TunerOptions};
+pub use store::{tune_key_any, PlanStore, RecoveredStore, TunedRecord, PLAN_STORE_VERSION};
+pub use tuner::{tune_any, tune_any_into_store, TuneOutcome, TunerOptions};
 
 // Re-exported so doc examples and downstream callers can name the config,
 // dtype and backend types without adding a direct `sme-gemm` dependency.

@@ -16,8 +16,9 @@
 //! The key scheme:
 //! - **operand identity** — the request seed the A/B contents derive from,
 //! - **layout** — the configuration (shape, leading dimensions, B storage
-//!   order) plus the [`PackLayout`] of the image bytes (plain FP32, or one
-//!   of the two packed-BF16 tile layouts),
+//!   order) plus the kernel's [`OperandLayout`] (plain FP32, or one of the
+//!   two packed-BF16 tile layouts), as the kernel itself decides it
+//!   ([`sme_gemm::RoutedKernel::operand_layout`]),
 //! - **datatype** — carried inside the [`AnyGemmConfig`], so FP32 and
 //!   widening images of one shape never alias.
 //!
@@ -32,31 +33,9 @@
 //! packed entries, so stale operand images can never outlive their
 //! configuration's kernels.
 
-use sme_gemm::{AnyGemmConfig, Backend, Dtype, OperandImages, RoutedKernel};
+use sme_gemm::{AnyGemmConfig, OperandImages, OperandLayout, RoutedKernel};
 use sme_obs::{Counter, Gauge, ObsHub};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// The byte layout of a cached operand image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PackLayout {
-    /// Plain column-/row-major little-endian FP32 (both FP32 backends).
-    PlainF32,
-    /// Packed BF16, ZA-interleaved layout (the SME widening kernel).
-    InterleavedBf16,
-    /// Packed BF16, `BFMMLA` 2×4 tile layout (the Neon widening kernel).
-    MmlaBf16,
-}
-
-impl PackLayout {
-    /// The layout of the images `kernel.pack_operands` produces.
-    pub fn for_kernel(kernel: &RoutedKernel) -> PackLayout {
-        match (kernel.dtype(), kernel.backend()) {
-            (Dtype::Fp32, _) => PackLayout::PlainF32,
-            (Dtype::WideningBf16, Backend::Sme) => PackLayout::InterleavedBf16,
-            (Dtype::WideningBf16, Backend::Neon) => PackLayout::MmlaBf16,
-        }
-    }
-}
 
 /// Cache key: one operand set packed in one layout for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,7 +46,7 @@ pub struct PackKey {
     /// shape, leading dimensions, B storage order).
     pub config: AnyGemmConfig,
     /// The byte layout of the images.
-    pub layout: PackLayout,
+    pub layout: OperandLayout,
 }
 
 /// Monotonic counters describing pack-cache behaviour since construction.
@@ -189,7 +168,7 @@ impl PackedOperandCache {
         let key = PackKey {
             seed,
             config: kernel.any_config(),
-            layout: PackLayout::for_kernel(kernel),
+            layout: kernel.operand_layout(),
         };
         let mut inner = self.lock_inner();
         if let Some(pos) = inner.entries.iter().position(|(k, _)| *k == key) {
@@ -290,7 +269,7 @@ impl PackedOperandCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sme_gemm::{generate_any_backend, GemmConfig, WideningGemmConfig};
+    use sme_gemm::{generate_any_backend, Backend, GemmConfig, WideningGemmConfig};
     use sme_machine::exec::{RunOptions, Simulator};
 
     fn fp32_kernel(cfg: &GemmConfig) -> RoutedKernel {

@@ -210,12 +210,6 @@ impl GemmService {
         &self.cache
     }
 
-    /// Autotune an FP32 `cfg` and install the winner (see
-    /// [`GemmService::tune_any`]).
-    pub fn tune(&self, cfg: &GemmConfig, opts: &TunerOptions) -> Result<TuneOutcome, GemmError> {
-        self.tune_any(&AnyGemmConfig::Fp32(*cfg), opts)
-    }
-
     /// Autotune a configuration of either datatype and install the winner,
     /// so subsequent dispatches of this shape (whatever their knob
     /// settings) use the tuned kernel.
@@ -265,26 +259,19 @@ impl GemmService {
         requests: &[GemmRequest],
         route: impl Fn(&AnyGemmConfig) -> Backend + Sync,
     ) -> Result<BatchReport, GemmError> {
-        self.dispatch_planned(requests, route, |_| 0.0)
+        self.dispatch_planned_traced(requests, route, |_| 0.0, None)
     }
 
     /// [`GemmService::dispatch_routed`] with an explicit host-side
-    /// execution order: groups are handed to the worker pool in descending
-    /// `priority` order (ties keep first-appearance order), so a placement
-    /// plan's schedule — longest contended group first — is what the host
-    /// actually runs. The report is unaffected: `per_config` stays in
-    /// first-appearance order and outputs stay in request order.
-    pub fn dispatch_planned(
-        &self,
-        requests: &[GemmRequest],
-        route: impl Fn(&AnyGemmConfig) -> Backend + Sync,
-        priority: impl Fn(&AnyGemmConfig) -> f64,
-    ) -> Result<BatchReport, GemmError> {
-        self.dispatch_planned_traced(requests, route, priority, None)
-    }
-
-    /// [`GemmService::dispatch_planned`] with an explicit causal parent:
-    /// each group's `service.group` span is parented to `ctx` (the batch
+    /// execution order and causal parent.
+    ///
+    /// Groups are handed to the worker pool in descending `priority` order
+    /// (ties keep first-appearance order), so a placement plan's schedule —
+    /// longest contended group first — is what the host actually runs. The
+    /// report is unaffected: `per_config` stays in first-appearance order
+    /// and outputs stay in request order.
+    ///
+    /// Each group's `service.group` span is parented to `ctx` (the batch
     /// root the router opened), and the group's kernel fetch is parented to
     /// the group span in turn. The group span's identity is allocated *on
     /// the worker thread*, so the parent→child edge crosses the rayon
@@ -599,7 +586,7 @@ mod tests {
         let mut a = vec![0.0f32; cfg.a_len()];
         let mut b = vec![0.0f32; cfg.b_len()];
         let mut c = vec![0.0f32; cfg.c_len()];
-        // Mirror CompiledKernel::allocate_buffers' seeding scheme.
+        // Mirror RoutedKernel::allocate_buffers' seeding scheme.
         fill_matrix(request.seed, &mut a);
         fill_matrix(request.seed ^ 0x1111_1111, &mut b);
         fill_matrix(request.seed ^ 0x2222_2222, &mut c);
@@ -863,7 +850,7 @@ mod tests {
         // Submit the large group first: results and report order must be
         // identical to the unprioritized dispatch.
         let planned = service
-            .dispatch_planned(&requests, |_| Backend::Sme, |cfg| cfg.m() as f64)
+            .dispatch_planned_traced(&requests, |_| Backend::Sme, |cfg| cfg.m() as f64, None)
             .unwrap();
         assert_eq!(planned.outputs, routed.outputs);
         assert_eq!(planned.per_config.len(), 2);
@@ -926,7 +913,9 @@ mod tests {
         let cfg = GemmConfig::abt(64, 16, 32);
         let requests = [GemmRequest::fp32(cfg, 3)];
         let untuned = service.dispatch(&requests).unwrap();
-        let outcome = service.tune(&cfg, &TunerOptions::default()).unwrap();
+        let outcome = service
+            .tune_any(&cfg.into(), &TunerOptions::default())
+            .unwrap();
         assert!(outcome.tuned_cycles <= outcome.default_cycles);
         let tuned = service.dispatch(&requests).unwrap();
         // Results are unchanged…

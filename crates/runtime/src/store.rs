@@ -64,20 +64,17 @@ pub struct PlanStore {
     machine_fingerprint: Option<u64>,
 }
 
-/// Normalize an FP32 configuration to its tuning key: the tunable knobs
-/// (`c_transfer`, `k_unroll`, `schedule`) are reset to fixed values so
-/// that requests differing only in those knobs share one tuned winner.
-pub fn tune_key(cfg: &GemmConfig) -> GemmConfig {
-    cfg.with_c_transfer(ZaTransferStrategy::TwoStep)
-        .with_k_unroll(1)
-        .with_schedule(KernelSchedule::Serial)
-}
-
-/// Normalize a configuration of either datatype to its tuning key (the
-/// dtype-generic twin of [`tune_key`]).
+/// Normalize a configuration of either datatype to its tuning key: the
+/// tunable knobs (`c_transfer`, `k_unroll` and, for FP32, `schedule`) are
+/// reset to fixed values so that requests differing only in those knobs
+/// share one tuned winner.
 pub fn tune_key_any(cfg: &AnyGemmConfig) -> AnyGemmConfig {
     match cfg {
-        AnyGemmConfig::Fp32(c) => AnyGemmConfig::Fp32(tune_key(c)),
+        AnyGemmConfig::Fp32(c) => AnyGemmConfig::Fp32(
+            c.with_c_transfer(ZaTransferStrategy::TwoStep)
+                .with_k_unroll(1)
+                .with_schedule(KernelSchedule::Serial),
+        ),
         AnyGemmConfig::WideningBf16(c) => AnyGemmConfig::WideningBf16(
             c.with_c_transfer(ZaTransferStrategy::TwoStep)
                 .with_k_unroll(1),
@@ -109,22 +106,10 @@ impl PlanStore {
         self.entries.is_empty()
     }
 
-    /// Record the winner for an FP32 configuration (normalized internally).
-    /// Returns the previous record, if any.
-    pub fn insert(&mut self, cfg: &GemmConfig, record: TunedRecord) -> Option<TunedRecord> {
-        self.insert_any(&AnyGemmConfig::Fp32(*cfg), record)
-    }
-
     /// Record the winner for a configuration of either datatype
     /// (normalized internally). Returns the previous record, if any.
     pub fn insert_any(&mut self, cfg: &AnyGemmConfig, record: TunedRecord) -> Option<TunedRecord> {
         self.entries.insert(tune_key_any(cfg), record)
-    }
-
-    /// Look up the winner for an FP32 configuration (normalized
-    /// internally).
-    pub fn lookup(&self, cfg: &GemmConfig) -> Option<&TunedRecord> {
-        self.lookup_any(&AnyGemmConfig::Fp32(*cfg))
     }
 
     /// Look up the winner for a configuration of either datatype
@@ -464,14 +449,16 @@ mod tests {
     fn lookup_is_knob_insensitive() {
         let mut store = PlanStore::new();
         let cfg = GemmConfig::abt(64, 48, 32);
-        store.insert(&cfg, sample_record(PlanKind::Heterogeneous));
+        store.insert_any(&cfg.into(), sample_record(PlanKind::Heterogeneous));
         // A request differing only in the tunable knobs hits the same record.
         let variant = cfg
             .with_c_transfer(ZaTransferStrategy::Direct)
             .with_k_unroll(4);
-        assert!(store.lookup(&variant).is_some());
+        assert!(store.lookup_any(&variant.into()).is_some());
         // A different shape does not.
-        assert!(store.lookup(&GemmConfig::abt(64, 48, 33)).is_none());
+        assert!(store
+            .lookup_any(&GemmConfig::abt(64, 48, 33).into())
+            .is_none());
         // The same is true across the widening family.
         let wide = WideningGemmConfig::new(32, 32, 8).unwrap();
         store.insert_any(&wide.into(), widening_record());
@@ -489,19 +476,23 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_every_field() {
         let mut store = PlanStore::new();
-        store.insert(
-            &GemmConfig::abt(80, 80, 512),
+        store.insert_any(
+            &GemmConfig::abt(80, 80, 512).into(),
             sample_record(PlanKind::Homogeneous(RegisterBlocking::B16x64)),
         );
-        store.insert(
-            &GemmConfig::ab(33, 47, 64).with_leading_dims(40, 64, 40),
+        store.insert_any(
+            &GemmConfig::ab(33, 47, 64)
+                .with_leading_dims(40, 64, 40)
+                .into(),
             sample_record(PlanKind::ColumnPanels),
         );
         let json = store.to_json();
         let parsed = PlanStore::from_json(&json).unwrap();
         assert_eq!(parsed, store);
         assert_eq!(parsed.len(), 2);
-        let rec = parsed.lookup(&GemmConfig::abt(80, 80, 512)).unwrap();
+        let rec = parsed
+            .lookup_any(&GemmConfig::abt(80, 80, 512).into())
+            .unwrap();
         assert_eq!(
             rec.candidate.kind,
             PlanKind::Homogeneous(RegisterBlocking::B16x64)
@@ -516,8 +507,8 @@ mod tests {
         // The v3 migration satellite: a store carrying both datatype
         // families serializes with dtype tags and reloads identically.
         let mut store = PlanStore::new();
-        store.insert(
-            &GemmConfig::abt(64, 64, 32),
+        store.insert_any(
+            &GemmConfig::abt(64, 64, 32).into(),
             sample_record(PlanKind::Heterogeneous),
         );
         let wide = WideningGemmConfig::new(64, 32, 8).unwrap();
@@ -565,8 +556,8 @@ mod tests {
     fn serialized_output_is_deterministic_and_versioned() {
         let mut store = PlanStore::new();
         for mn in [96, 32, 64] {
-            store.insert(
-                &GemmConfig::abt(mn, mn, 16),
+            store.insert_any(
+                &GemmConfig::abt(mn, mn, 16).into(),
                 sample_record(PlanKind::Heterogeneous),
             );
         }
@@ -709,8 +700,8 @@ mod tests {
         let check = |s: &PlanStore, m| FingerprintCheck::of(s.machine_fingerprint(), m);
         let machine = MachineConfig::apple_m4();
         let mut store = PlanStore::for_machine(&machine);
-        store.insert(
-            &GemmConfig::abt(32, 32, 16),
+        store.insert_any(
+            &GemmConfig::abt(32, 32, 16).into(),
             sample_record(PlanKind::Heterogeneous),
         );
         assert_eq!(check(&store, &machine), FingerprintCheck::Match);
@@ -740,8 +731,8 @@ mod tests {
     #[test]
     fn save_and_load_round_trip_through_a_file() {
         let mut store = PlanStore::new();
-        store.insert(
-            &GemmConfig::abt(48, 48, 48),
+        store.insert_any(
+            &GemmConfig::abt(48, 48, 48).into(),
             sample_record(PlanKind::Heterogeneous),
         );
         let machine = MachineConfig::apple_m4();

@@ -24,7 +24,7 @@ use rayon::prelude::*;
 use sme_gemm::{
     default_any_candidate, enumerate_any_candidates, generate_any_routed,
     prune_dominated_candidates, prune_dominated_widening_candidates, AnyGemmConfig, Backend,
-    GemmConfig, GemmError, PlanCandidate,
+    GemmError, PlanCandidate,
 };
 
 /// Knobs controlling how much of the candidate space the tuner explores.
@@ -120,11 +120,6 @@ impl TuneOutcome {
     }
 }
 
-/// Tune one FP32 configuration (see [`tune_any`]).
-pub fn tune(cfg: &GemmConfig, opts: &TunerOptions) -> Result<TuneOutcome, GemmError> {
-    tune_any(&AnyGemmConfig::Fp32(*cfg), opts)
-}
-
 /// Tune one configuration of either datatype: generate and timing-simulate
 /// every candidate (across both backends unless restricted), return the
 /// cycle-count winner.
@@ -198,16 +193,6 @@ pub fn tune_any(cfg: &AnyGemmConfig, opts: &TunerOptions) -> Result<TuneOutcome,
     })
 }
 
-/// Tune an FP32 `cfg` and persist the winner into `store`. Returns the
-/// outcome.
-pub fn tune_into_store(
-    cfg: &GemmConfig,
-    opts: &TunerOptions,
-    store: &mut PlanStore,
-) -> Result<TuneOutcome, GemmError> {
-    tune_any_into_store(&AnyGemmConfig::Fp32(*cfg), opts, store)
-}
-
 /// Tune a configuration of either datatype and persist the winner into
 /// `store`. Returns the outcome.
 pub fn tune_any_into_store(
@@ -223,7 +208,7 @@ pub fn tune_any_into_store(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sme_gemm::{BLayout, PlanKind};
+    use sme_gemm::{BLayout, GemmConfig, PlanKind};
 
     #[test]
     fn tuning_never_loses_to_the_default() {
@@ -232,7 +217,7 @@ mod tests {
             GemmConfig::abt(80, 16, 16),
             GemmConfig::ab(32, 32, 16),
         ] {
-            let outcome = tune(&cfg, &TunerOptions::default()).unwrap();
+            let outcome = tune_any(&cfg.into(), &TunerOptions::default()).unwrap();
             assert!(
                 outcome.tuned_cycles <= outcome.default_cycles,
                 "{cfg}: tuned {} > default {}",
@@ -247,15 +232,15 @@ mod tests {
     #[test]
     fn quick_options_restrict_the_sweep() {
         let cfg = GemmConfig::abt(32, 32, 16);
-        let quick = tune(&cfg, &TunerOptions::quick()).unwrap();
+        let quick = tune_any(&cfg.into(), &TunerOptions::quick()).unwrap();
         // Plan kinds and backends only: the winner keeps the config's knobs.
         assert_eq!(quick.winner.c_transfer, cfg.c_transfer);
         assert_eq!(quick.winner.k_unroll, cfg.k_unroll);
-        let full = tune(&cfg, &TunerOptions::default()).unwrap();
+        let full = tune_any(&cfg.into(), &TunerOptions::default()).unwrap();
         assert!(full.candidates_tried > quick.candidates_tried);
         assert!(full.tuned_cycles <= quick.tuned_cycles);
         // The exhaustive sweep tries everything the pre-filter would prune.
-        let exhaustive = tune(&cfg, &TunerOptions::exhaustive()).unwrap();
+        let exhaustive = tune_any(&cfg.into(), &TunerOptions::exhaustive()).unwrap();
         assert_eq!(exhaustive.candidates_pruned, 0);
         assert_eq!(
             exhaustive.candidates_tried,
@@ -280,8 +265,8 @@ mod tests {
             GemmConfig::abt(96, 32, 16),
             GemmConfig::ab(48, 48, 16),
         ] {
-            let pruned = tune(&cfg, &TunerOptions::default()).unwrap();
-            let exhaustive = tune(&cfg, &TunerOptions::exhaustive()).unwrap();
+            let pruned = tune_any(&cfg.into(), &TunerOptions::default()).unwrap();
+            let exhaustive = tune_any(&cfg.into(), &TunerOptions::exhaustive()).unwrap();
             assert_eq!(
                 pruned.winner, exhaustive.winner,
                 "{cfg}: pre-filter changed the winner"
@@ -304,13 +289,13 @@ mod tests {
         // Tiny shape: the ~110-cycle smstart/smstop + ZA-transfer overhead
         // dwarfs the work, so the Neon backend wins the argmin.
         let tiny = GemmConfig::abt(16, 4, 4);
-        let outcome = tune(&tiny, &TunerOptions::default()).unwrap();
+        let outcome = tune_any(&tiny.into(), &TunerOptions::default()).unwrap();
         assert_eq!(outcome.winner.backend, Backend::Neon);
         assert!(outcome.tuned_cycles < outcome.default_cycles);
 
         // Large shape: SME saturates its outer-product advantage.
         let large = GemmConfig::abt(64, 64, 64);
-        let outcome = tune(&large, &TunerOptions::default()).unwrap();
+        let outcome = tune_any(&large.into(), &TunerOptions::default()).unwrap();
         assert_eq!(outcome.winner.backend, Backend::Sme);
 
         // Disabling the backend sweep pins the tuner to SME.
@@ -318,7 +303,7 @@ mod tests {
             sweep_backends: false,
             ..TunerOptions::default()
         };
-        let outcome = tune(&tiny, &sme_only).unwrap();
+        let outcome = tune_any(&tiny.into(), &sme_only).unwrap();
         assert_eq!(outcome.winner.backend, Backend::Sme);
     }
 
@@ -329,7 +314,7 @@ mod tests {
         // above the ZA store removes an exposed RAW stall, so the pipelined
         // twin scores strictly fewer simulated cycles and wins the argmin.
         let cfg = GemmConfig::abt(64, 64, 64);
-        let outcome = tune(&cfg, &TunerOptions::default()).unwrap();
+        let outcome = tune_any(&cfg.into(), &TunerOptions::default()).unwrap();
         assert_eq!(outcome.winner.schedule, KernelSchedule::Pipelined);
         assert!(outcome.tuned_cycles < outcome.default_cycles);
 
@@ -339,7 +324,7 @@ mod tests {
             sweep_schedule: false,
             ..TunerOptions::default()
         };
-        let serial = tune(&cfg, &serial_only).unwrap();
+        let serial = tune_any(&cfg.into(), &serial_only).unwrap();
         assert_eq!(serial.winner.schedule, KernelSchedule::Serial);
         assert!(outcome.tuned_cycles <= serial.tuned_cycles);
     }
@@ -350,10 +335,10 @@ mod tests {
         // heterogeneous default covers it the same way, so the winner must
         // be at least as good and use a plan with a single microkernel.
         let cfg = GemmConfig::abt(64, 16, 32);
-        let outcome = tune(&cfg, &TunerOptions::quick()).unwrap();
+        let outcome = tune_any(&cfg.into(), &TunerOptions::quick()).unwrap();
         let kernel = generate_any_routed(&cfg.into(), &outcome.winner).unwrap();
-        let kernel = kernel.as_sme().expect("SME wins this shape in the model");
-        assert_eq!(kernel.plan().num_microkernels(), 1);
+        let plan = kernel.plan().expect("SME wins this shape in the model");
+        assert_eq!(plan.num_microkernels(), 1);
     }
 
     #[test]
@@ -417,24 +402,24 @@ mod tests {
     #[test]
     fn column_major_tuning_stays_on_the_panel_plan() {
         let cfg = GemmConfig::ab(48, 48, 16);
-        let outcome = tune(&cfg, &TunerOptions::default()).unwrap();
+        let outcome = tune_any(&cfg.into(), &TunerOptions::default()).unwrap();
         assert_eq!(outcome.winner.kind, PlanKind::ColumnPanels);
         assert_eq!(cfg.b_layout, BLayout::ColMajor);
     }
 
     #[test]
     fn outcome_round_trips_through_the_store() {
-        let cfg = GemmConfig::abt(48, 48, 16);
+        let cfg = GemmConfig::abt(48, 48, 16).into();
         let mut store = PlanStore::new();
-        let outcome = tune_into_store(&cfg, &TunerOptions::quick(), &mut store).unwrap();
-        let record = store.lookup(&cfg).copied().unwrap();
+        let outcome = tune_any_into_store(&cfg, &TunerOptions::quick(), &mut store).unwrap();
+        let record = store.lookup_any(&cfg).copied().unwrap();
         assert_eq!(record, outcome.record());
         let reloaded = PlanStore::from_json(&store.to_json()).unwrap();
-        assert_eq!(reloaded.lookup(&cfg).copied().unwrap(), record);
+        assert_eq!(reloaded.lookup_any(&cfg).copied().unwrap(), record);
     }
 
     #[test]
     fn invalid_configurations_are_rejected() {
-        assert!(tune(&GemmConfig::abt(0, 8, 8), &TunerOptions::quick()).is_err());
+        assert!(tune_any(&GemmConfig::abt(0, 8, 8).into(), &TunerOptions::quick()).is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! produce the same bytes again.
 
 use proptest::prelude::*;
-use sme_runtime::{AnyGemmConfig, GemmConfig, GemmRequest, GemmService, WideningGemmConfig};
+use sme_runtime::{GemmConfig, GemmRequest, GemmService, WideningGemmConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -40,10 +40,8 @@ proptest! {
 
         // Invalidation drops the packed entries; the next dispatch repacks
         // from the seed and must reproduce the same outputs.
-        service.cache().invalidate(&fp32);
-        service
-            .cache()
-            .invalidate_any(&AnyGemmConfig::WideningBf16(widening));
+        service.cache().invalidate_any(&fp32.into());
+        service.cache().invalidate_any(&widening.into());
         prop_assert!(service.cache().packs().is_empty(), "all entries invalidated");
         let repacked = service.dispatch(&requests).expect("valid batch");
         prop_assert_eq!(&cold.outputs, &repacked.outputs, "repack after invalidation agrees");

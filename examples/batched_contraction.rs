@@ -21,7 +21,7 @@ fn main() {
     let batch = BatchedGemm::new(&cfg).expect("valid configuration");
     println!(
         "kernel for {} reused over a batch of {batch_size} element contractions",
-        batch.kernel().config()
+        batch.kernel().any_config()
     );
 
     // Allocate and fill the whole batch in simulated memory.

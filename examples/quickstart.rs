@@ -19,7 +19,10 @@ fn main() {
     );
 
     // The block plan shows the heterogeneous register blocking of Fig. 7.
-    let hist = kernel.plan().strategy_histogram();
+    let hist = kernel
+        .plan()
+        .expect("SME kernels carry a block plan")
+        .strategy_histogram();
     println!(
         "block plan: {}x 32x32, {}x 16x64, {}x 64x16",
         hist[0].1, hist[1].1, hist[2].1

@@ -109,6 +109,6 @@ proptest! {
             )),
             0
         );
-        prop_assert_eq!(kernel.config().b_layout, BLayout::RowMajor);
+        prop_assert_eq!(kernel.fp32_config().unwrap().b_layout, BLayout::RowMajor);
     }
 }

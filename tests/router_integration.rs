@@ -14,14 +14,14 @@
 
 use hello_sme::sme_gemm::reference::{fill_matrix, gemm_reference};
 use hello_sme::sme_gemm::{
-    generate_any_backend, generate_backend, widening_reference, widening_rel_error, AnyGemmConfig,
-    Backend, GemmConfig, WideningGemmConfig, WIDENING_REL_TOL,
+    generate_any_backend, widening_reference, widening_rel_error, AnyGemmConfig, Backend,
+    GemmConfig, WideningGemmConfig, WIDENING_REL_TOL,
 };
 use hello_sme::sme_router::{Router, RoutingPolicy};
 use hello_sme::sme_runtime::{GemmRequest, TunerOptions};
 
 /// The C buffer the scalar reference produces for one request (mirrors the
-/// kernel handles' seeding scheme).
+/// kernel's seeding scheme).
 fn reference_output(cfg: &GemmConfig, seed: u64) -> Vec<f32> {
     let mut a = vec![0.0f32; cfg.a_len()];
     let mut b = vec![0.0f32; cfg.b_len()];
@@ -96,16 +96,16 @@ fn routed_dispatch_straddles_the_crossover_bit_identically() {
 fn cross_backend_tuner_matches_the_simulated_argmin_on_every_shape() {
     let router = Router::new(64);
     for cfg in crossover_sweep() {
-        let sme_cycles = generate_backend(&cfg, Backend::Sme)
+        let sme_cycles = generate_any_backend(&cfg.into(), Backend::Sme)
             .expect("SME compiles every swept shape")
             .model_stats()
             .cycles;
-        let neon_cycles = generate_backend(&cfg, Backend::Neon)
+        let neon_cycles = generate_any_backend(&cfg.into(), Backend::Neon)
             .expect("swept shapes sit on the Neon 16x4 grid")
             .model_stats()
             .cycles;
         let outcome = router
-            .tune(&cfg, &TunerOptions::default())
+            .tune_any(&cfg.into(), &TunerOptions::default())
             .expect("tunable configuration");
         // The best the SME engine can do for this shape (tuned plans, no
         // backend sweep): the cross-backend winner must sit on whichever
@@ -114,7 +114,7 @@ fn cross_backend_tuner_matches_the_simulated_argmin_on_every_shape() {
             sweep_backends: false,
             ..TunerOptions::default()
         };
-        let best_sme_cycles = hello_sme::sme_runtime::tune(&cfg, &sme_only)
+        let best_sme_cycles = hello_sme::sme_runtime::tune_any(&cfg.into(), &sme_only)
             .expect("tunable configuration")
             .tuned_cycles;
         let expected = if neon_cycles < best_sme_cycles {
@@ -141,7 +141,7 @@ fn cross_backend_tuner_matches_the_simulated_argmin_on_every_shape() {
             "{cfg}: tuned score must not lose to either default engine"
         );
         // Routing now follows the installed winner.
-        assert_eq!(router.route(&cfg), outcome.winner.backend);
+        assert_eq!(router.route_any(&cfg.into()), outcome.winner.backend);
     }
 }
 
@@ -208,13 +208,11 @@ fn telemetry_counts_match_dispatched_traffic_exactly() {
         .expect("hot shapes are tunable");
     assert_eq!(outcomes.len(), 2);
     assert_eq!(outcomes[0].key.m(), top[0].config.m());
-    assert!(router.cache().lookup_tuned(&warm).is_some());
-    assert!(router.cache().lookup_tuned(&cold).is_some());
-    assert!(router.cache().lookup_tuned(&hot).is_none());
-    match top[0].config {
-        AnyGemmConfig::Fp32(c) => assert_eq!(router.route(&c), outcomes[0].winner.backend),
-        _ => unreachable!("all traffic was FP32"),
-    }
+    assert!(router.cache().lookup_tuned_any(&warm.into()).is_some());
+    assert!(router.cache().lookup_tuned_any(&cold.into()).is_some());
+    assert!(router.cache().lookup_tuned_any(&hot.into()).is_none());
+    assert!(top[0].config.as_fp32().is_some(), "all traffic was FP32");
+    assert_eq!(router.route_any(&top[0].config), outcomes[0].winner.backend);
 }
 
 #[test]
@@ -295,7 +293,7 @@ fn bf16_crossover_sweep() -> Vec<WideningGemmConfig> {
 }
 
 /// The scalar BF16-rounded oracle for one widening request (mirrors the
-/// kernel handles' seeding scheme).
+/// kernel's seeding scheme).
 fn widening_oracle(cfg: &WideningGemmConfig, seed: u64) -> Vec<f32> {
     let mut a = vec![0.0f32; cfg.m * cfg.k];
     let mut b = vec![0.0f32; cfg.k * cfg.n];

@@ -16,16 +16,16 @@ use hello_sme::sme_runtime::{GemmRequest, GemmService, KernelCache, PlanStore, T
 #[test]
 fn cache_serves_repeats_without_regenerating() {
     let cache = KernelCache::new(32);
-    let cfg = GemmConfig::abt(48, 48, 32);
+    let cfg = GemmConfig::abt(48, 48, 32).into();
 
-    let first = cache.get_or_compile(&cfg).expect("valid configuration");
+    let first = cache.get_or_compile_any(&cfg).expect("valid configuration");
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (0, 1), "first request compiles");
 
     // The second request must be a pure cache hit: the miss counter (which
     // counts exactly the generator invocations) stays put, and the very
     // same Arc'd kernel object comes back.
-    let second = cache.get_or_compile(&cfg).expect("valid configuration");
+    let second = cache.get_or_compile_any(&cfg).expect("valid configuration");
     let stats = cache.stats();
     assert_eq!(
         (stats.hits, stats.misses),
@@ -36,7 +36,7 @@ fn cache_serves_repeats_without_regenerating() {
 
     // A different configuration is an independent miss.
     cache
-        .get_or_compile(&GemmConfig::abt(48, 48, 33))
+        .get_or_compile_any(&GemmConfig::abt(48, 48, 33).into())
         .expect("valid configuration");
     assert_eq!(cache.stats().misses, 2);
 }
@@ -59,9 +59,12 @@ fn autotuned_plans_never_model_slower_than_the_default() {
     ];
     let mut store = PlanStore::new();
     for cfg in &shapes {
-        let outcome =
-            hello_sme::sme_runtime::tune_into_store(cfg, &TunerOptions::default(), &mut store)
-                .expect("tunable configuration");
+        let outcome = hello_sme::sme_runtime::tune_any_into_store(
+            &(*cfg).into(),
+            &TunerOptions::default(),
+            &mut store,
+        )
+        .expect("tunable configuration");
         assert!(
             outcome.tuned_cycles <= outcome.default_cycles,
             "{cfg}: tuned {} cycles > default {} cycles",
@@ -80,7 +83,9 @@ fn autotuned_plans_never_model_slower_than_the_default() {
     assert_eq!(reloaded.len(), shapes.len());
     let cache = KernelCache::with_store(64, reloaded);
     for cfg in &shapes {
-        cache.get_or_compile(cfg).expect("valid configuration");
+        cache
+            .get_or_compile_any(&(*cfg).into())
+            .expect("valid configuration");
     }
     assert_eq!(cache.stats().tuned_compiles, shapes.len() as u64);
 }
@@ -146,7 +151,7 @@ fn tuned_dispatch_preserves_results_and_cycles() {
     let requests: Vec<GemmRequest> = (0..3).map(|seed| GemmRequest::fp32(cfg, seed)).collect();
     let untuned = service.dispatch(&requests).expect("valid batch");
     let outcome = service
-        .tune(&cfg, &TunerOptions::default())
+        .tune_any(&cfg.into(), &TunerOptions::default())
         .expect("tunable configuration");
     assert!(outcome.tuned_cycles <= outcome.default_cycles);
     let tuned = service.dispatch(&requests).expect("valid batch");

@@ -17,7 +17,7 @@ use hello_sme::sme_gemm::{
 };
 use hello_sme::sme_machine::exec::{RunOptions, Simulator};
 
-/// The oracle C buffer for one seeded request (mirrors the kernel handles'
+/// The oracle C buffer for one seeded request (mirrors the kernel's
 /// seeding scheme).
 fn oracle_output(cfg: &WideningGemmConfig, seed: u64) -> Vec<f32> {
     let mut a = vec![0.0f32; cfg.m * cfg.k];

@@ -30,8 +30,13 @@ fn umbrella_reaches_every_crate() {
 
     // sme-runtime: a cache hit after one compile, counter-verified.
     let cache = sme_runtime::KernelCache::new(4);
-    cache.get_or_compile(&cfg).expect("small config compiles");
-    cache.get_or_compile(&cfg).expect("small config compiles");
+    let key = cfg.into();
+    cache
+        .get_or_compile_any(&key)
+        .expect("small config compiles");
+    cache
+        .get_or_compile_any(&key)
+        .expect("small config compiles");
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
 

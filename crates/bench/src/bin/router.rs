@@ -18,7 +18,7 @@
 use sme_bench::{
     maybe_write_json, render_router_sweep, router_sweep, sweep_profile_report, RouterSweepOptions,
 };
-use sme_router::{Router, RoutingPolicy};
+use sme_router::Router;
 use sme_runtime::GemmRequest;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
         opts.sweep.k, opts.sweep.max, opts.sweep.step
     );
 
-    let router = Router::with_policy(64, RoutingPolicy::Measured);
+    let router = Router::new(64);
     let sweep = router_sweep(&opts, &router);
     println!("{}", render_router_sweep(&sweep));
     maybe_write_json(&opts.sweep.json, &sweep);

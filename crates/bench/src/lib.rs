@@ -1054,15 +1054,13 @@ pub struct ServingBatchRecord {
 
 /// The run-header record of the `serving` binary's JSON output: enough
 /// context to interpret the per-batch records without the producing
-/// process — which machine model the cycles refer to, which routing
-/// policy made the placements, and how fast the telemetry forgets.
+/// process — which machine model the cycles refer to, how fast the
+/// telemetry forgets, and the run's batch and request counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingRunHeader {
     /// Fingerprint of the simulated machine configuration (hex); records
     /// from different machine models are not comparable.
     pub machine_fingerprint: String,
-    /// The router's routing policy (debug form).
-    pub policy: String,
     /// Telemetry decay half-life, in dispatched batches.
     pub decay_half_life: f64,
     /// Batches dispatched in the warm ("yesterday") phase.
@@ -1320,7 +1318,6 @@ pub fn serving_run(
 
     let header = ServingRunHeader {
         machine_fingerprint: format!("{:016x}", router.machine().fingerprint()),
-        policy: format!("{:?}", router.policy()),
         decay_half_life: DEFAULT_DECAY_HALF_LIFE,
         warm_batches: opts.warm_batches,
         shifted_batches: opts.shifted_batches,
@@ -1757,16 +1754,6 @@ mod tests {
             class == "outer-product" || class == "stall:outer-product",
             "dense SME kernels are FMOPA-bound, got {class}"
         );
-
-        // The closed-form Heuristic policy agrees with the simulated
-        // argmin on every preset shape, edges included — mis-modelled
-        // partial tiles would fail here.
-        let heuristic = sme_router::Router::with_policy(32, sme_router::RoutingPolicy::Heuristic);
-        let sweep = router_sweep(&opts, &heuristic);
-        assert!(
-            sweep.routing_matches_model(),
-            "heuristic estimates must rank the engines correctly: {sweep:?}"
-        );
     }
 
     #[test]
@@ -1846,16 +1833,6 @@ mod tests {
         let text = render_router_sweep(&sweep);
         assert!(text.contains("WideningBf16"));
         assert!(text.contains("matches the per-shape simulated argmin: yes"));
-
-        // The Heuristic policy's closed-form estimates agree with the
-        // simulated argmin on the same preset — partial-tile mis-modelling
-        // (edge tiles change the microkernel count) would fail here.
-        let heuristic = sme_router::Router::with_policy(32, sme_router::RoutingPolicy::Heuristic);
-        let sweep = router_sweep(&opts, &heuristic);
-        assert!(
-            sweep.routing_matches_model(),
-            "heuristic estimates must rank the engines correctly: {sweep:?}"
-        );
     }
 
     #[test]
@@ -1879,7 +1856,6 @@ mod tests {
         assert!(trace.seq_gapless());
         assert_eq!(trace.batches.len(), 4); // 1 warm + 2 shifted + restart
         assert_eq!(trace.header.machine_fingerprint.len(), 16);
-        assert!(trace.header.policy.contains("Measured"));
         assert_eq!(
             trace.header.decay_half_life,
             sme_router::DEFAULT_DECAY_HALF_LIFE

@@ -567,9 +567,8 @@ pub fn analytic_widening_k_pair_cycles(
 /// covers 1, 2 or 4 vectors (three groups round up to a four-register
 /// load, mirroring the microkernel), at the machine's calibrated
 /// per-strategy transfer rate. The packed BF16 pair layouts move the same
-/// bytes per group, so the table serves both datatypes — and it lives
-/// here, once, so the tuner's analytic pre-filter and the router's
-/// closed-form estimates can never disagree about the load model.
+/// bytes per group, so the table serves both datatypes in the tuner's
+/// analytic pre-filter.
 pub fn group_load_cycles(groups: usize, machine: &sme_machine::MachineConfig) -> f64 {
     use sme_machine::OpKind;
     match groups {

@@ -93,7 +93,7 @@ impl MemTimings {
     /// Peak transfer rate of a memory strategy in bytes per core cycle
     /// (falling back to [`MemTimings::default_rate`] for kinds missing
     /// from the table) — the single home of this lookup for the tuner
-    /// pre-filter and the routing heuristic.
+    /// pre-filter.
     pub fn rate(&self, op: OpKind) -> f64 {
         self.strategy_rate
             .get(&op)

@@ -676,7 +676,7 @@ mod tests {
         let mut machine = sme_machine::MachineConfig::apple_m4();
         machine.p_core.clock_ghz = 4.0;
         let service = sme_runtime::GemmService::new(16);
-        let router = Router::with_service(service, crate::policy::RoutingPolicy::Measured, machine);
+        let router = Router::with_service(service, machine);
         let report = daemon.restore(&router).unwrap();
         assert!(matches!(
             report.telemetry_check,

@@ -12,12 +12,11 @@
 //! — those run faster on the Neon pipes every core owns privately. A
 //! serving system therefore needs three things this crate provides:
 //!
-//! * [`RoutingPolicy`] — the per-shape engine decision, from pinned
-//!   ([`RoutingPolicy::SmeOnly`]/[`RoutingPolicy::NeonOnly`]) through a
-//!   closed-form estimate ([`RoutingPolicy::Heuristic`]) to one-off model
-//!   probes ([`RoutingPolicy::Measured`], the default); installed tuned
-//!   winners always take precedence, so the cross-backend autotuner is the
-//!   final authority;
+//! * [`Router::route_any`] — the per-shape engine decision, by one rule:
+//!   the installed tuned winner, else a one-off measured probe that times
+//!   both engines' default kernels and memoizes the faster, so the
+//!   cross-backend autotuner is the final authority (to pin an engine,
+//!   dispatch through [`sme_runtime::GemmService::dispatch_routed`]);
 //! * [`TelemetryRegistry`] — per-[`GemmConfig`] request counts, cumulative
 //!   cycles, serving backend and cache outcomes, plus **exponentially
 //!   decayed** counters so [`Router::top_shapes`] answers *which shapes
@@ -25,11 +24,11 @@
 //!   those, and the whole registry persists as a versioned,
 //!   machine-fingerprinted JSON snapshot
 //!   ([`TelemetryRegistry::save`]/[`TelemetryRegistry::load_recovered`]);
-//! * [`plan_batch`] — a batch placement over the machine's real engine
-//!   classes (two shared SME units + ten private cores) that replaces the
-//!   runtime's identical-cores makespan; [`Router::dispatch`] folds the
-//!   placement back into routing ([`plan_batch_placed`]): when the two
-//!   shared units saturate, marginal SME groups spill to idle private
+//! * [`plan_batch_placed`] — a batch placement over the machine's real
+//!   engine classes (two shared SME units + ten private cores) that
+//!   replaces the runtime's identical-cores makespan and folds placement
+//!   back into routing: when the two shared units saturate,
+//!   [`Router::dispatch`] spills marginal SME groups to idle private
 //!   cores whenever that lowers the projected batch makespan, and host
 //!   execution follows the plan's schedule (longest SME group first);
 //! * [`PretuneDaemon`] — the background serving loop: restore persisted
@@ -85,7 +84,6 @@
 
 pub mod daemon;
 pub mod planner;
-pub mod policy;
 pub mod router;
 pub mod telemetry;
 
@@ -93,13 +91,7 @@ pub use daemon::{
     DaemonError, DaemonHandle, PretuneDaemon, PretuneDaemonConfig, RestoreReport, StopOutcome,
     TickReport, STOP_TIMEOUT,
 };
-pub use planner::{
-    plan_batch, plan_batch_placed, BatchPlan, GroupCost, GroupPlacement, PlacementPlan,
-};
-pub use policy::{
-    estimate_backend_cycles, estimate_widening_backend_cycles, heuristic_backend,
-    heuristic_backend_any, RoutingPolicy,
-};
+pub use planner::{plan_batch_placed, BatchPlan, GroupCost, GroupPlacement, PlacementPlan};
 pub use router::{RoutedBatchReport, Router};
 pub use telemetry::{
     RecoveredTelemetry, ShapeStats, TelemetryRegistry, DEFAULT_DECAY_HALF_LIFE,

@@ -30,7 +30,6 @@
 
 use sme_gemm::{AnyGemmConfig, Backend};
 use sme_machine::multicore::{EngineSlot, MulticoreModel};
-use sme_runtime::BatchReport;
 
 /// Where one dispatch group was placed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,19 +112,6 @@ impl PlacementPlan {
             })
             .collect()
     }
-
-    /// Group indices in host-side execution order (longest SME group
-    /// first, then Neon groups longest-first); ties keep group order.
-    pub fn execution_order(&self) -> Vec<usize> {
-        let priority = self.execution_priority();
-        let mut order: Vec<usize> = (0..self.placements.len()).collect();
-        order.sort_by(|&a, &b| {
-            priority[b]
-                .partial_cmp(&priority[a])
-                .expect("priorities are finite")
-        });
-        order
-    }
 }
 
 /// One routed group's cost picture, the input to [`plan_batch_placed`]:
@@ -141,7 +127,7 @@ pub struct GroupCost {
     pub cycles: f64,
     /// The group's total simulated cycles on the *other* backend, when
     /// known and supported — `None` pins the group to its provisional
-    /// backend (pinned policies, or an FP32 shape Neon cannot serve).
+    /// backend (a Neon-routed group, or an FP32 shape Neon cannot serve).
     pub alt_cycles: Option<f64>,
 }
 
@@ -163,26 +149,10 @@ pub struct BatchPlan {
     pub rerouted: Vec<AnyGemmConfig>,
 }
 
-impl BatchPlan {
-    /// The final backend for each group, in group order (the routes the
-    /// dispatch must execute).
-    pub fn final_backends(&self) -> Vec<Backend> {
-        self.placement
-            .placements
-            .iter()
-            .map(|p| p.backend)
-            .collect()
-    }
-
-    /// Projected makespan improvement of placement-aware routing over
-    /// route-in-isolation, in performance-core cycles (≥ 0).
-    pub fn makespan_improvement_cycles(&self) -> f64 {
-        self.isolated.makespan_cycles() - self.placement.makespan_cycles()
-    }
-}
-
 /// Place `(config, backend, cycles)` triples onto the machine's engine
-/// slots with the per-class LPT greedy.
+/// slots with the per-class LPT greedy. Groups never split across slots:
+/// each shares one kernel and working set, like the runtime's per-core
+/// grouping.
 fn plan_groups(groups: &[(AnyGemmConfig, Backend, f64)], model: &MulticoreModel) -> PlacementPlan {
     let sme_engines = model.sme_engine_slots();
     let neon_engines = model.private_engine_slots();
@@ -237,22 +207,6 @@ fn plan_groups(groups: &[(AnyGemmConfig, Backend, f64)], model: &MulticoreModel)
         sme_engine_cycles: sme_cycles,
         neon_engine_cycles: neon_cycles,
     }
-}
-
-/// Place a dispatched batch's groups onto the machine's engine slots and
-/// project the makespan.
-///
-/// Groups never split across slots (each shares one kernel and working
-/// set, exactly like the runtime's per-core grouping); within each engine
-/// class the longest group is placed first onto the slot that finishes it
-/// earliest, accounting for slot speed.
-pub fn plan_batch(report: &BatchReport, model: &MulticoreModel) -> PlacementPlan {
-    let groups: Vec<(AnyGemmConfig, Backend, f64)> = report
-        .per_config
-        .iter()
-        .map(|g| (g.config, g.backend, g.stats.cycles))
-        .collect();
-    plan_groups(&groups, model)
 }
 
 /// Placement-aware routing over one batch: place the provisional routes,
@@ -317,7 +271,23 @@ mod tests {
         MulticoreModel::new(MachineConfig::apple_m4())
     }
 
-    /// Dispatch a batch with a fixed routing function and plan it.
+    /// Place groups pinned to their routes (`alt_cycles: None`, so
+    /// nothing spills) and return the placement.
+    fn plan_pinned(groups: &[(AnyGemmConfig, Backend, f64)]) -> PlacementPlan {
+        let costs: Vec<GroupCost> = groups
+            .iter()
+            .map(|&(config, backend, cycles)| GroupCost {
+                config,
+                backend,
+                cycles,
+                alt_cycles: None,
+            })
+            .collect();
+        plan_batch_placed(&costs, &model()).placement
+    }
+
+    /// Dispatch a batch with a fixed routing function and place its groups
+    /// on the routes they executed.
     fn plan_mixed(
         reqs: &[GemmRequest],
         neon: &(dyn Fn(&AnyGemmConfig) -> bool + Sync),
@@ -332,7 +302,12 @@ mod tests {
                 }
             })
             .expect("valid batch");
-        plan_batch(&report, &model())
+        let groups: Vec<(AnyGemmConfig, Backend, f64)> = report
+            .per_config
+            .iter()
+            .map(|g| (g.config, g.backend, g.stats.cycles))
+            .collect();
+        plan_pinned(&groups)
     }
 
     #[test]
@@ -398,9 +373,7 @@ mod tests {
 
     #[test]
     fn empty_batches_plan_to_zero() {
-        let service = GemmService::new(4);
-        let report = service.dispatch(&[]).unwrap();
-        let plan = plan_batch(&report, &model());
+        let plan = plan_mixed(&[], &|_| false);
         assert!(plan.placements.is_empty());
         assert_eq!(plan.makespan_cycles(), 0.0);
         assert_eq!(plan.class_load_cycles(), (0.0, 0.0));
@@ -446,10 +419,9 @@ mod tests {
             plan.isolated.makespan_cycles()
         );
         assert!(!plan.rerouted.is_empty());
-        let backends = plan.final_backends();
-        assert!(backends.contains(&Backend::Sme), "SME keeps the rest");
-        assert!(backends.contains(&Backend::Neon), "some groups spilled");
-        assert!(plan.makespan_improvement_cycles() > 0.0);
+        let (sme_load, neon_load) = plan.placement.class_load_cycles();
+        assert!(sme_load > 0.0, "SME keeps the rest");
+        assert!(neon_load > 0.0, "some groups spilled");
     }
 
     #[test]
@@ -466,14 +438,13 @@ mod tests {
         let plan = plan_batch_placed(&costs, &model());
         assert_eq!(plan.placement, plan.isolated);
         assert!(plan.rerouted.is_empty());
-        assert_eq!(plan.final_backends(), vec![Backend::Sme]);
-        assert_eq!(plan.makespan_improvement_cycles(), 0.0);
+        assert_eq!(plan.placement.placements[0].backend, Backend::Sme);
     }
 
     #[test]
     fn pinned_groups_never_move() {
-        // alt_cycles = None marks a pinned group (pinned policy or
-        // Neon-unsupported shape): even under saturation it stays put.
+        // alt_cycles = None marks a pinned group (Neon-routed, or a shape
+        // Neon cannot compile): even under saturation it stays put.
         let costs: Vec<GroupCost> = (0..6)
             .map(|i| GroupCost {
                 config: GemmConfig::abt(32, 32, 8 * (i + 1)).into(),
@@ -485,7 +456,11 @@ mod tests {
         let plan = plan_batch_placed(&costs, &model());
         assert_eq!(plan.placement, plan.isolated);
         assert!(plan.rerouted.is_empty());
-        assert!(plan.final_backends().iter().all(|&b| b == Backend::Sme));
+        assert!(plan
+            .placement
+            .placements
+            .iter()
+            .all(|p| p.backend == Backend::Sme));
     }
 
     #[test]
@@ -528,18 +503,14 @@ mod tests {
         let a: AnyGemmConfig = GemmConfig::abt(16, 4, 4).into();
         let b: AnyGemmConfig = GemmConfig::abt(32, 32, 8).into();
         let c: AnyGemmConfig = GemmConfig::abt(48, 48, 16).into();
-        let plan = plan_groups(
-            &[
-                (a, Backend::Neon, 9000.0),
-                (b, Backend::Sme, 100.0),
-                (c, Backend::Sme, 800.0),
-            ],
-            &model(),
-        );
+        let plan = plan_pinned(&[
+            (a, Backend::Neon, 9000.0),
+            (b, Backend::Sme, 100.0),
+            (c, Backend::Sme, 800.0),
+        ]);
         // SME groups first (longest first), Neon last even though it is
         // the longest group overall.
-        assert_eq!(plan.execution_order(), vec![2, 1, 0]);
         let priority = plan.execution_priority();
-        assert!(priority[1] > priority[0] && priority[2] > priority[1]);
+        assert!(priority[2] > priority[1] && priority[1] > priority[0]);
     }
 }

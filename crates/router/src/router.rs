@@ -1,8 +1,7 @@
-//! The router: policy + telemetry + placement wrapped around a
+//! The router: routing + telemetry + placement wrapped around a
 //! [`GemmService`].
 
 use crate::planner::{plan_batch_placed, GroupCost, PlacementPlan};
-use crate::policy::{heuristic_backend_any, RoutingPolicy};
 use crate::telemetry::{ShapeStats, TelemetryRegistry};
 use sme_gemm::{
     backend_supports, default_any_candidate, AnyGemmConfig, Backend, GemmError, RoutedKernel,
@@ -49,7 +48,7 @@ impl RoutedBatchReport {
 /// Traffic-aware multi-backend dispatch front end.
 ///
 /// Sits between callers and the [`GemmService`]: every batch is routed
-/// per-configuration (see [`RoutingPolicy`]), checked against the
+/// per-configuration (see [`Router::route_any`]), checked against the
 /// machine's engine-class capacity (marginal SME groups spill to idle
 /// private cores when the two shared units saturate — see
 /// [`Router::dispatch`]), executed through the backend-tagged kernel
@@ -62,24 +61,17 @@ impl RoutedBatchReport {
 #[derive(Debug)]
 pub struct Router {
     service: GemmService,
-    policy: RoutingPolicy,
     telemetry: TelemetryRegistry,
     machine: MachineConfig,
     model: MulticoreModel,
-    /// Memoized verdicts of the `Measured` policy's one-off probes.
+    /// Memoized verdicts of the one-off measured probes.
     probe_memo: Mutex<HashMap<AnyGemmConfig, Backend>>,
 }
 
 impl Router {
-    /// A router over a fresh cache bounded to `cache_capacity` kernels,
-    /// with the default [`RoutingPolicy::Measured`] policy on the
-    /// calibrated M4 machine model.
+    /// A router over a fresh cache bounded to `cache_capacity` kernels, on
+    /// the calibrated M4 machine model.
     pub fn new(cache_capacity: usize) -> Self {
-        Router::with_policy(cache_capacity, RoutingPolicy::default())
-    }
-
-    /// A router with an explicit policy.
-    pub fn with_policy(cache_capacity: usize, policy: RoutingPolicy) -> Self {
         let machine = MachineConfig::apple_m4();
         // Stamp the store so persisted winners carry the machine
         // fingerprint from the start.
@@ -87,20 +79,15 @@ impl Router {
             cache_capacity,
             PlanStore::for_machine(&machine),
         ));
-        Router::with_service(GemmService::with_cache(cache), policy, machine)
+        Router::with_service(GemmService::with_cache(cache), machine)
     }
 
     /// A router around an existing service (sharing its cache and plan
     /// store) and an explicit machine model.
-    pub fn with_service(
-        service: GemmService,
-        policy: RoutingPolicy,
-        machine: MachineConfig,
-    ) -> Self {
+    pub fn with_service(service: GemmService, machine: MachineConfig) -> Self {
         let model = MulticoreModel::new(machine.clone());
         Router {
             service,
-            policy,
             telemetry: TelemetryRegistry::for_machine(&machine),
             machine,
             model,
@@ -124,11 +111,6 @@ impl Router {
         &self.telemetry
     }
 
-    /// The active routing policy.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.policy
-    }
-
     /// The machine model routing decisions and placements are made on.
     pub fn machine(&self) -> &MachineConfig {
         &self.machine
@@ -148,50 +130,34 @@ impl Router {
         self.cache().obs()
     }
 
-    /// Decide which backend serves a configuration of either datatype under
-    /// the active policy, **in isolation** — with no batch context.
-    /// [`Router::dispatch`] starts from this answer and then revisits
-    /// marginal SME picks under engine-class saturation.
+    /// Decide which backend serves a configuration of either datatype,
+    /// **in isolation** — with no batch context. [`Router::dispatch`]
+    /// starts from this answer and then revisits marginal SME picks under
+    /// engine-class saturation.
     ///
-    /// The traffic-adaptive policies ([`RoutingPolicy::Heuristic`] and
-    /// [`RoutingPolicy::Measured`]) defer to an installed tuned winner
-    /// first — pre-tuning a shape pins its route to the simulated argmin
-    /// across both engines. The SME generators are total over their
-    /// datatypes' envelopes (widening edge tiles are predicated), so
-    /// `SmeOnly` never needs a fallback; `NeonOnly` falls back to SME for
-    /// shapes the Neon generators reject ([`backend_supports`]: FP32 with
-    /// column-major B — odd extents compile via single-lane tails), so
-    /// pinning never makes a valid configuration undispatchable.
+    /// One rule: the installed tuned winner, when its backend can compile
+    /// the shape ([`KernelCache::tuned_backend_any`]) — pre-tuning a shape
+    /// pins its route to the simulated argmin across both engines — else
+    /// the measured probe, which times both engines' default kernels once
+    /// per shape and memoizes the faster. To pin an engine instead,
+    /// dispatch through [`GemmService::dispatch_routed`].
     pub fn route_any(&self, cfg: &AnyGemmConfig) -> Backend {
         self.route_any_traced(cfg, None)
     }
 
     /// [`Router::route_any`] with a causal parent for any probe compiles
-    /// the decision triggers (the `Measured` policy compiles both engines'
-    /// kernels through the cache on first sight of a shape).
+    /// the decision triggers (the probe compiles both engines' kernels
+    /// through the cache on first sight of a shape).
     fn route_any_traced(&self, cfg: &AnyGemmConfig, parent: Option<TraceCtx>) -> Backend {
-        match self.policy {
-            RoutingPolicy::SmeOnly => Backend::Sme,
-            RoutingPolicy::NeonOnly => match backend_supports(cfg, Backend::Neon) {
-                Ok(()) => Backend::Neon,
-                Err(_) => Backend::Sme,
-            },
-            RoutingPolicy::Heuristic => match self.cache().lookup_tuned_any(cfg) {
-                Some(record) => record.candidate.backend,
-                None => heuristic_backend_any(cfg, &self.machine),
-            },
-            RoutingPolicy::Measured => match self.cache().lookup_tuned_any(cfg) {
-                Some(record) => record.candidate.backend,
-                None => self.measure(cfg, parent),
-            },
-        }
+        self.cache()
+            .tuned_backend_any(cfg)
+            .unwrap_or_else(|| self.measure(cfg, parent))
     }
 
-    /// One-off model probe for the `Measured` policy: compile both
-    /// backends' default kernels **through the cache** (so the subsequent
-    /// dispatch fetch of the winner is a hit, not a recompile), compare
-    /// their (memoized) modelled cycles, memoize and return the faster
-    /// engine.
+    /// One-off measured probe: compile both backends' default kernels
+    /// **through the cache** (so the subsequent dispatch fetch of the
+    /// winner is a hit, not a recompile), compare their (memoized)
+    /// modelled cycles, memoize and return the faster engine.
     fn measure(&self, cfg: &AnyGemmConfig, parent: Option<TraceCtx>) -> Backend {
         if let Some(&backend) = sme_runtime::poison::lock(&self.probe_memo, "probe memo").get(cfg) {
             return backend;
@@ -254,15 +220,14 @@ impl Router {
     /// and BF16 widening requests freely.
     ///
     /// Routing happens in three steps:
-    /// 1. every distinct configuration is routed **provisionally** by the
-    ///    active policy ([`Router::route_any`]) and costed on its engine
-    ///    (and, for adaptive policies, on the Neon alternative);
+    /// 1. every distinct configuration is routed **provisionally**
+    ///    ([`Router::route_any`]) and costed on its engine and, when that
+    ///    engine is SME, on the Neon alternative;
     /// 2. the batch is placed on the machine's engine classes; if the two
     ///    shared SME units saturate, marginal SME groups — smallest
     ///    simulated SME-vs-Neon margin first — spill to idle private cores
     ///    whenever that strictly lowers the projected makespan
-    ///    (`plan_batch_placed`). Pinned policies (`SmeOnly`/`NeonOnly`)
-    ///    never spill;
+    ///    (`plan_batch_placed`);
     /// 3. the batch executes on the final routes, with host-side group
     ///    execution ordered by the plan (longest SME group first), so the
     ///    simulated and host schedules agree.
@@ -303,10 +268,6 @@ impl Router {
         // Provisional routes and engine costs. Groups the provisional
         // backend cannot compile cost zero here and surface their error
         // from the dispatch below, like they always did.
-        let adaptive = matches!(
-            self.policy,
-            RoutingPolicy::Heuristic | RoutingPolicy::Measured
-        );
         let place_started = Instant::now();
         let place_ctx = root.as_ref().map(|(hub, root)| hub.trace.child_ctx(*root));
         let costs: Vec<GroupCost> = counts
@@ -316,7 +277,7 @@ impl Router {
                 let cycles = self
                     .simulated_group_cycles(&config, backend, n, place_ctx)
                     .unwrap_or(0.0);
-                let alt_cycles = if adaptive && backend == Backend::Sme {
+                let alt_cycles = if backend == Backend::Sme {
                     self.simulated_group_cycles(&config, Backend::Neon, n, place_ctx)
                 } else {
                     None
@@ -412,10 +373,6 @@ impl Router {
                 dispatch_started,
                 *root,
                 vec![
-                    (
-                        "policy".to_string(),
-                        Value::String(format!("{:?}", self.policy)),
-                    ),
                     ("requests".to_string(), Value::Number(requests.len() as f64)),
                     ("groups".to_string(), Value::Number(counts.len() as f64)),
                     (
@@ -478,7 +435,23 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sme_gemm::GemmConfig;
+    use sme_gemm::{GemmConfig, PlanCandidate};
+    use sme_runtime::TunedRecord;
+
+    /// Dispatch one request of `config` pinned to `backend` through the
+    /// service, returning the serving backend and the degraded-from one.
+    fn pinned(
+        router: &Router,
+        config: AnyGemmConfig,
+        backend: Backend,
+    ) -> (Backend, Option<Backend>) {
+        let report = router
+            .service()
+            .dispatch_routed(&[GemmRequest { config, seed: 1 }], |_| backend)
+            .unwrap();
+        let group = &report.per_config[0];
+        (group.backend, group.fallback_from)
+    }
 
     #[test]
     fn policies_route_as_documented() {
@@ -487,34 +460,20 @@ mod tests {
         let ragged = GemmConfig::abt(33, 47, 5); // odd extents: Neon-compilable
         let col_major = GemmConfig::ab(33, 47, 5); // Neon cannot compile
 
-        let sme_only = Router::with_policy(8, RoutingPolicy::SmeOnly);
-        assert_eq!(sme_only.route_any(&tiny.into()), Backend::Sme);
-        assert_eq!(sme_only.route_any(&large.into()), Backend::Sme);
+        // The measured probe picks the faster engine; a shape only one
+        // engine compiles routes there.
+        let router = Router::new(8);
+        assert_eq!(router.route_any(&tiny.into()), Backend::Neon);
+        assert_eq!(router.route_any(&large.into()), Backend::Sme);
+        assert_eq!(router.route_any(&col_major.into()), Backend::Sme);
 
-        let neon_only = Router::with_policy(8, RoutingPolicy::NeonOnly);
-        assert_eq!(neon_only.route_any(&tiny.into()), Backend::Neon);
-        assert_eq!(neon_only.route_any(&large.into()), Backend::Neon);
-        assert_eq!(
-            neon_only.route_any(&ragged.into()),
-            Backend::Neon,
-            "odd shapes compile"
-        );
-        assert_eq!(
-            neon_only.route_any(&col_major.into()),
-            Backend::Sme,
-            "fallback"
-        );
-
-        for policy in [RoutingPolicy::Heuristic, RoutingPolicy::Measured] {
-            let router = Router::with_policy(8, policy);
-            assert_eq!(router.route_any(&tiny.into()), Backend::Neon, "{policy:?}");
-            assert_eq!(router.route_any(&large.into()), Backend::Sme, "{policy:?}");
-            assert_eq!(
-                router.route_any(&col_major.into()),
-                Backend::Sme,
-                "{policy:?}"
-            );
-        }
+        // Pinning an engine goes through the service: it serves the pinned
+        // engine wherever that engine compiles the shape (odd extents
+        // included), and falls back to SME, degraded, where it cannot.
+        let neon = |cfg: GemmConfig| pinned(&router, cfg.into(), Backend::Neon);
+        assert_eq!(neon(large), (Backend::Neon, None));
+        assert_eq!(neon(ragged), (Backend::Neon, None));
+        assert_eq!(neon(col_major), (Backend::Sme, Some(Backend::Neon)));
     }
 
     #[test]
@@ -705,24 +664,38 @@ mod tests {
     }
 
     #[test]
-    fn pinned_policies_never_spill() {
-        let router = Router::with_policy(64, RoutingPolicy::SmeOnly);
-        let requests: Vec<GemmRequest> = (0..8)
-            .map(|i| {
-                GemmRequest::widening(
-                    sme_gemm::WideningGemmConfig::new(32, 32, 8 * (i + 1)).unwrap(),
-                    i as u64,
-                )
-            })
-            .collect();
+    fn tuned_records_their_backend_cannot_compile_are_not_followed() {
+        // A store assembled in memory can carry a Neon record for a shape
+        // the Neon generator cannot compile (column-major B). Routing must
+        // ignore it as the cache's own preference does: route to SME, cost
+        // the group on SME, and serve it undegraded.
+        let router = Router::new(8);
+        let fp32 = GemmConfig::ab(32, 16, 8);
+        let cfg: AnyGemmConfig = fp32.into();
+        router.cache().install_tuned_any(
+            &cfg,
+            TunedRecord {
+                candidate: PlanCandidate {
+                    backend: Backend::Neon,
+                    ..PlanCandidate::default_for(&fp32)
+                },
+                tuned_cycles: 1.0,
+                default_cycles: 1.0,
+            },
+        );
+        assert_eq!(router.cache().preferred_backend_any(&cfg), Backend::Sme);
+        assert_eq!(router.route_any(&cfg), Backend::Sme);
+
+        let requests: Vec<GemmRequest> = (0..3).map(|i| GemmRequest::fp32(fp32, i)).collect();
         let report = router.dispatch(&requests).unwrap();
-        assert!(report.rerouted.is_empty());
-        assert_eq!(report.placement, report.isolated);
-        assert!(report
-            .batch
-            .per_config
-            .iter()
-            .all(|g| g.backend == Backend::Sme));
+        let group = &report.batch.per_config[0];
+        assert_eq!((group.backend, group.fallback_from), (Backend::Sme, None));
+        let planned = report.placement.placements[0].cycles;
+        assert!(
+            (planned - group.stats.cycles).abs() < 1e-6 * group.stats.cycles,
+            "planned {planned} vs executed {}",
+            group.stats.cycles
+        );
     }
 
     #[test]
@@ -732,27 +705,22 @@ mod tests {
         let edgy: AnyGemmConfig = WideningGemmConfig::new(48, 40, 64).unwrap().into();
         let thin: AnyGemmConfig = WideningGemmConfig::new(16, 4, 8).unwrap().into();
 
-        // The SME widening path is total, so pinning SME needs no
-        // fallback; both engines compile every envelope shape.
-        let sme_only = Router::with_policy(8, RoutingPolicy::SmeOnly);
-        assert_eq!(sme_only.route_any(&dense), Backend::Sme);
-        assert_eq!(sme_only.route_any(&thin), Backend::Sme, "no fallback");
-        let neon_only = Router::with_policy(8, RoutingPolicy::NeonOnly);
-        assert_eq!(neon_only.route_any(&dense), Backend::Neon);
-        assert_eq!(neon_only.route_any(&thin), Backend::Neon);
-
-        // The adaptive policies land dense widening shapes — aligned or
-        // not — on the SME units and thin shapes on the Neon BFMMLA
-        // baseline: the split is a performance decision now.
-        for policy in [RoutingPolicy::Heuristic, RoutingPolicy::Measured] {
-            let router = Router::with_policy(8, policy);
-            assert_eq!(router.route_any(&dense), Backend::Sme, "{policy:?}");
-            assert_eq!(router.route_any(&edgy), Backend::Sme, "{policy:?}");
-            assert_eq!(router.route_any(&thin), Backend::Neon, "{policy:?}");
+        // Both engines compile every envelope shape, so pinning either
+        // one through the service never needs a fallback.
+        let router = Router::new(8);
+        for backend in [Backend::Sme, Backend::Neon] {
+            assert_eq!(pinned(&router, dense, backend), (backend, None));
+            assert_eq!(pinned(&router, thin, backend), (backend, None));
         }
 
+        // The router lands dense widening shapes — aligned or not — on the
+        // SME units and thin shapes on the Neon BFMMLA baseline: the split
+        // is a performance decision.
+        assert_eq!(router.route_any(&dense), Backend::Sme);
+        assert_eq!(router.route_any(&edgy), Backend::Sme);
+        assert_eq!(router.route_any(&thin), Backend::Neon);
+
         // Tuning a widening shape installs a winner that routing follows.
-        let router = Router::new(8);
         let outcome = router.tune_any(&dense, &TunerOptions::quick()).unwrap();
         assert_eq!(router.route_any(&dense), outcome.winner.backend);
         assert!(router.cache().lookup_tuned_any(&dense).is_some());
@@ -785,14 +753,19 @@ mod tests {
         let requests: Vec<GemmRequest> = (0..4)
             .map(|i| GemmRequest::fp32(GemmConfig::abt(32, 16, 8), 40 + i))
             .collect();
-        let measured = Router::new(8).dispatch(&requests).unwrap();
-        let sme = Router::with_policy(8, RoutingPolicy::SmeOnly)
-            .dispatch(&requests)
+        let router = Router::new(8);
+        let measured = router.dispatch(&requests).unwrap();
+        let sme = router
+            .service()
+            .dispatch_routed(&requests, |_| Backend::Sme)
             .unwrap();
-        let neon = Router::with_policy(8, RoutingPolicy::NeonOnly)
-            .dispatch(&requests)
+        let neon = router
+            .service()
+            .dispatch_routed(&requests, |_| Backend::Neon)
             .unwrap();
-        assert_eq!(measured.batch.outputs, sme.batch.outputs);
-        assert_eq!(measured.batch.outputs, neon.batch.outputs);
+        assert_eq!(sme.per_config[0].backend, Backend::Sme);
+        assert_eq!(neon.per_config[0].backend, Backend::Neon);
+        assert_eq!(measured.batch.outputs, sme.outputs);
+        assert_eq!(measured.batch.outputs, neon.outputs);
     }
 }

@@ -230,26 +230,29 @@ impl KernelCache {
 
     /// The backend the cache would pick for a configuration of either
     /// datatype when the caller expresses no preference: the stored tuned
-    /// winner's backend, or the datatype's default engine — SME (the
-    /// paper's engine) for both datatypes, its generators being total over
-    /// their envelopes (widening edge tiles are predicated since PR 5).
-    ///
-    /// A record whose backend cannot actually compile the shape (possible
-    /// only for stores assembled in memory — load-time validation rejects
-    /// such documents) is ignored rather than followed, so a bad record
-    /// can degrade dispatch but never make a valid configuration
-    /// undispatchable.
+    /// winner's backend ([`KernelCache::tuned_backend_any`]), or the
+    /// datatype's default engine — SME (the paper's engine) for both
+    /// datatypes, its generators being total over their envelopes
+    /// (widening edge tiles are predicated).
     pub fn preferred_backend_any(&self, cfg: &AnyGemmConfig) -> Backend {
-        let fallback = sme_gemm::default_any_candidate(cfg).backend;
-        let backend = crate::poison::read(&self.store, "plan store")
-            .lookup_any(cfg)
+        self.tuned_backend_any(cfg)
+            .unwrap_or_else(|| sme_gemm::default_any_candidate(cfg).backend)
+    }
+
+    /// The stored tuned winner's backend for a configuration of either
+    /// datatype, if a winner is stored **and** its backend can compile the
+    /// shape.
+    ///
+    /// A record whose backend cannot compile the shape (possible only for
+    /// stores assembled in memory — load-time validation rejects such
+    /// documents) is ignored rather than followed, so a bad record can
+    /// degrade dispatch but never make a valid configuration
+    /// undispatchable. Every caller that follows tuned winners — this
+    /// cache's own preference and the router — asks here.
+    pub fn tuned_backend_any(&self, cfg: &AnyGemmConfig) -> Option<Backend> {
+        self.lookup_tuned_any(cfg)
             .map(|record| record.candidate.backend)
-            .unwrap_or(fallback);
-        if sme_gemm::backend_supports(cfg, backend).is_ok() {
-            backend
-        } else {
-            fallback
-        }
+            .filter(|&backend| sme_gemm::backend_supports(cfg, backend).is_ok())
     }
 
     /// Fetch the kernel for a configuration of either datatype on the

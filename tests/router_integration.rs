@@ -17,7 +17,7 @@ use hello_sme::sme_gemm::{
     generate_any_backend, widening_reference, widening_rel_error, AnyGemmConfig, Backend,
     GemmConfig, WideningGemmConfig, WIDENING_REL_TOL,
 };
-use hello_sme::sme_router::{Router, RoutingPolicy};
+use hello_sme::sme_router::Router;
 use hello_sme::sme_runtime::{GemmRequest, TunerOptions};
 
 /// The C buffer the scalar reference produces for one request (mirrors the
@@ -53,7 +53,7 @@ fn crossover_sweep() -> Vec<GemmConfig> {
 
 #[test]
 fn routed_dispatch_straddles_the_crossover_bit_identically() {
-    let router = Router::with_policy(64, RoutingPolicy::Measured);
+    let router = Router::new(64);
     let requests: Vec<GemmRequest> = crossover_sweep()
         .into_iter()
         .enumerate()
@@ -185,9 +185,9 @@ fn telemetry_counts_match_dispatched_traffic_exactly() {
     assert!(top[0].decayed_cycles >= top[1].decayed_cycles);
     assert!(top[1].decayed_cycles >= top[2].decayed_cycles);
     assert_eq!((top[2].config, top[2].requests), (hot.into(), 6));
-    // Each shape fetches its kernel once per batch it appears in. Under
-    // the Measured policy the routing probe already compiled both
-    // backends through the cache, so every execute-time fetch is a hit.
+    // Each shape fetches its kernel once per batch it appears in. The
+    // routing probe already compiled both backends through the cache, so
+    // every execute-time fetch is a hit.
     assert_eq!((shape(&hot).cache_hits, shape(&hot).cache_misses), (2, 0));
     assert_eq!((shape(&warm).cache_hits, shape(&warm).cache_misses), (2, 0));
     assert_eq!((shape(&cold).cache_hits, shape(&cold).cache_misses), (1, 0));
@@ -222,9 +222,7 @@ fn off_grid_bf16_shapes_now_route_to_sme() {
     // widening path rejected anything off the 32x32 grid, so they always
     // ran on the ~8x narrower Neon BFMMLA baseline) and are now a
     // *performance* decision the router settles on simulated cycles.
-    use hello_sme::sme_router::RoutingPolicy;
-    let measured = Router::with_policy(64, RoutingPolicy::Measured);
-    let heuristic = Router::with_policy(64, RoutingPolicy::Heuristic);
+    let router = Router::new(64);
     let off_grid = [
         (48, 40, 64),
         (40, 40, 32),
@@ -258,11 +256,10 @@ fn off_grid_bf16_shapes_now_route_to_sme() {
             "{cfg}: expected a multi-x win, got {:.2}x",
             neon_cycles / sme_cycles
         );
-        // Both adaptive policies route the shape to SME, and the tuner's
+        // The router routes the shape to SME, and the tuner's
         // cross-backend argmin lands there too.
-        assert_eq!(measured.route_any(&any), Backend::Sme, "{cfg}");
-        assert_eq!(heuristic.route_any(&any), Backend::Sme, "{cfg}");
-        let outcome = measured
+        assert_eq!(router.route_any(&any), Backend::Sme, "{cfg}");
+        let outcome = router
             .tune_any(&any, &TunerOptions::quick())
             .expect("tunable shape");
         assert_eq!(outcome.winner.backend, Backend::Sme, "{cfg}");
@@ -307,7 +304,7 @@ fn widening_oracle(cfg: &WideningGemmConfig, seed: u64) -> Vec<f32> {
 
 #[test]
 fn bf16_dispatch_straddles_the_crossover_within_tolerance() {
-    let router = Router::with_policy(64, RoutingPolicy::Measured);
+    let router = Router::new(64);
     let shapes = bf16_crossover_sweep();
     let requests: Vec<GemmRequest> = shapes
         .iter()

@@ -14,9 +14,29 @@ use crate::counters::ExecStats;
 use crate::mem::Memory;
 use crate::state::CoreState;
 use crate::timing::{MemModel, OpKind, Scoreboard};
-use sme_isa::inst::{Inst, NeonInst, ScalarInst, SmeInst, SveInst};
+use sme_isa::inst::{Inst, InstClass, NeonInst, ScalarInst, SmeInst, SveInst};
 use sme_isa::regs::XReg;
 use sme_isa::Program;
+
+/// Bytes in the largest scalable vector (SVL 2048): the size of the stack
+/// buffers instructions stage register contents in.
+pub(crate) const MAX_VL_BYTES: usize = 256;
+
+/// Every instruction class, in declaration order, so that `class as usize`
+/// indexes the run loop's per-class counters.
+const CLASSES: [InstClass; 11] = [
+    InstClass::Branch,
+    InstClass::IntAlu,
+    InstClass::NeonFp,
+    InstClass::NeonMem,
+    InstClass::SveFp,
+    InstClass::SvePred,
+    InstClass::SveMem,
+    InstClass::SmeCompute,
+    InstClass::SmeMove,
+    InstClass::SmeMem,
+    InstClass::SmeControl,
+];
 
 /// Bytes of stack `program` reaches below its entry SP: the deepest point
 /// of its `sub sp, sp, #imm` / `add sp, sp, #imm` / `addvl sp, sp, #imm`
@@ -234,7 +254,7 @@ impl Simulator {
         let stack_base = self.mem.stack_base();
         self.state.set_x(XReg::SP, stack_top);
 
-        let timings = self.config.core(self.core_kind).clone();
+        let timings = self.config.core(self.core_kind);
         let mut scoreboard = opts.timing.then(|| Scoreboard::new(timings.clone()));
         let mut mem_model = opts.timing.then(|| {
             let mut m = MemModel::new(self.config.mem.clone(), timings.clock_ghz);
@@ -246,6 +266,7 @@ impl Simulator {
             clock_ghz: timings.clock_ghz,
             ..Default::default()
         };
+        let mut by_class = [0u64; CLASSES.len()];
         let svl = self.config.svl;
         let insts = program.insts();
         let mut pc: i64 = 0;
@@ -261,10 +282,7 @@ impl Simulator {
                 );
             }
             stats.arith_ops += inst.arith_ops(svl);
-            *stats
-                .instructions_by_class
-                .entry(format!("{:?}", inst.class()))
-                .or_insert(0) += 1;
+            by_class[inst.class() as usize] += 1;
 
             // Memory accounting and bandwidth-model charge.
             let mut mem_cost = None;
@@ -330,6 +348,12 @@ impl Simulator {
             }
         }
 
+        stats.instructions_by_class = CLASSES
+            .iter()
+            .zip(by_class)
+            .filter(|&(_, count)| count > 0)
+            .map(|(class, count)| (format!("{class:?}"), count))
+            .collect();
         if let Some(sb) = scoreboard {
             stats.cycles = sb.cycles();
             stats.profile = sb.profile().clone();
@@ -569,6 +593,13 @@ mod tests {
             ..RunOptions::functional_only()
         };
         let _ = sim.run(&program, &[], &opts);
+    }
+
+    #[test]
+    fn class_counters_are_indexed_by_declaration_order() {
+        for (i, class) in CLASSES.iter().enumerate() {
+            assert_eq!(*class as usize, i, "{class:?}");
+        }
     }
 
     #[test]

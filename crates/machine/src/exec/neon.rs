@@ -52,35 +52,49 @@ fn read_bf16x8(state: &CoreState, r: VReg) -> [f32; 8] {
     out
 }
 
-fn fmla_lanes(
+/// `vd[i] += vn[i] * vm[j]` over the lanes of `arr`, with `j = i` for the
+/// vector form and `j = index` for the by-element form. Each operand is
+/// read in its own arrangement only.
+fn fmla(
     state: &mut CoreState,
     vd: VReg,
     vn: VReg,
-    vm_lane: &dyn Fn(usize) -> f64,
+    vm: VReg,
+    index: Option<u8>,
     arr: NeonArrangement,
 ) {
+    let pick = |i: usize| index.map_or(i, usize::from);
     match arr {
         NeonArrangement::S4 => {
-            let mut d = read_f32x4(state, vd);
-            let n = read_f32x4(state, vn);
+            let (mut d, n, m) = (
+                read_f32x4(state, vd),
+                read_f32x4(state, vn),
+                read_f32x4(state, vm),
+            );
             for i in 0..4 {
-                d[i] += n[i] * vm_lane(i) as f32;
+                d[i] += n[i] * m[pick(i)];
             }
             state.set_v_f32(vd, d);
         }
         NeonArrangement::D2 => {
-            let mut d = read_f64x2(state, vd);
-            let n = read_f64x2(state, vn);
+            let (mut d, n, m) = (
+                read_f64x2(state, vd),
+                read_f64x2(state, vn),
+                read_f64x2(state, vm),
+            );
             for i in 0..2 {
-                d[i] += n[i] * vm_lane(i);
+                d[i] += n[i] * m[pick(i)];
             }
             write_f64x2(state, vd, d);
         }
         NeonArrangement::H8 => {
-            let mut d = read_f16x8(state, vd);
-            let n = read_f16x8(state, vn);
+            let (mut d, n, m) = (
+                read_f16x8(state, vd),
+                read_f16x8(state, vn),
+                read_f16x8(state, vm),
+            );
             for i in 0..8 {
-                d[i] += n[i] * vm_lane(i) as f32;
+                d[i] += n[i] * m[pick(i)];
             }
             write_f16x8(state, vd, d);
         }
@@ -96,40 +110,14 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &NeonInst) {
             vn,
             vm,
             arrangement,
-        } => {
-            let m32 = read_f32x4(state, vm);
-            let m64 = read_f64x2(state, vm);
-            let m16 = read_f16x8(state, vm);
-            let lane = move |i: usize| -> f64 {
-                match arrangement {
-                    NeonArrangement::S4 => m32[i] as f64,
-                    NeonArrangement::D2 => m64[i],
-                    NeonArrangement::H8 => m16[i] as f64,
-                    NeonArrangement::B16 => 0.0,
-                }
-            };
-            fmla_lanes(state, vd, vn, &lane, arrangement);
-        }
+        } => fmla(state, vd, vn, vm, None, arrangement),
         NeonInst::FmlaElem {
             vd,
             vn,
             vm,
             index,
             arrangement,
-        } => {
-            let m32 = read_f32x4(state, vm);
-            let m64 = read_f64x2(state, vm);
-            let m16 = read_f16x8(state, vm);
-            let lane = move |_i: usize| -> f64 {
-                match arrangement {
-                    NeonArrangement::S4 => m32[index as usize] as f64,
-                    NeonArrangement::D2 => m64[index as usize],
-                    NeonArrangement::H8 => m16[index as usize] as f64,
-                    NeonArrangement::B16 => 0.0,
-                }
-            };
-            fmla_lanes(state, vd, vn, &lane, arrangement);
-        }
+        } => fmla(state, vd, vn, vm, Some(index), arrangement),
         NeonInst::Bfmmla { vd, vn, vm } => {
             // C (2x2 FP32) += A (2x4 BF16) * B (2x4 BF16)^T:
             // C[i][j] += sum_k A[i*4+k] * B[j*4+k].

@@ -1,18 +1,28 @@
 //! Functional semantics of the SME / SME2 instructions.
+//!
+//! The outer products update the ZA array one tile row at a time: the
+//! source lanes and predicates are decoded once per instruction, the tile
+//! index is checked once, and the tile's rows are walked by stride. Every
+//! sum keeps the element-wise definition's unfused form and order
+//! (`cur + a * b`; for the widening forms `acc += a0 * b0; acc += a1 * b1`),
+//! so the results are the same to the bit.
 
 use crate::exec::fp::{bf16_to_f32, f16_to_f32};
+use crate::exec::MAX_VL_BYTES;
 use crate::mem::Memory;
 use crate::state::CoreState;
 use sme_isa::inst::sme::SmeInst;
 use sme_isa::regs::{PReg, TileSliceDir, ZReg};
 use sme_isa::types::ElementType;
 
+/// Rows (= columns) of the largest tile an outer product writes: 32-bit
+/// elements at the largest vector length.
+const MAX_TILE_DIM: usize = MAX_VL_BYTES / 4;
+
 fn tile_dim(state: &CoreState, elem: ElementType) -> usize {
     state.vl_bytes() / elem.bytes() as usize
 }
 
-/// Read lane `i` of a Z register as `f32`, interpreting pairs of 16-bit
-/// inputs for the widening forms.
 fn z_f32_lane(state: &CoreState, r: ZReg, lane: usize) -> f32 {
     let bytes = state.z(r);
     f32::from_le_bytes(bytes[lane * 4..lane * 4 + 4].try_into().unwrap())
@@ -23,24 +33,69 @@ fn z_f64_lane(state: &CoreState, r: ZReg, lane: usize) -> f64 {
     f64::from_le_bytes(bytes[lane * 8..lane * 8 + 8].try_into().unwrap())
 }
 
-fn z_u16_lane(state: &CoreState, r: ZReg, lane: usize) -> u16 {
-    let bytes = state.z(r);
-    u16::from_le_bytes(bytes[lane * 2..lane * 2 + 2].try_into().unwrap())
-}
-
-fn z_i8_lane(state: &CoreState, r: ZReg, lane: usize) -> i8 {
-    state.z(r)[lane] as i8
-}
-
-fn z_i16_lane(state: &CoreState, r: ZReg, lane: usize) -> i16 {
-    let bytes = state.z(r);
-    i16::from_le_bytes(bytes[lane * 2..lane * 2 + 2].try_into().unwrap())
-}
-
 /// The ZA array-vector index selected by `[w<s>, offset]` addressing.
 fn za_vector_index(state: &CoreState, rs: sme_isa::regs::XReg, offset: u8) -> usize {
     let dim = state.vl_bytes();
     ((state.x(rs) as usize) + offset as usize) % dim
+}
+
+/// Which tile rows (or columns) predicate `p` leaves active for elements of
+/// type `elem`.
+fn active_lanes(state: &CoreState, p: PReg, elem: ElementType) -> [bool; MAX_TILE_DIM] {
+    let mut lanes = [false; MAX_TILE_DIM];
+    let pred = state.p(p).iter().step_by(elem.bytes() as usize);
+    for (lane, &on) in lanes.iter_mut().zip(pred) {
+        *lane = on;
+    }
+    lanes
+}
+
+/// Decode register `r`, `N` bytes at a time, into `out` (which must hold
+/// at least one value per `N` bytes).
+fn decode_lanes<T, const N: usize>(
+    state: &CoreState,
+    r: ZReg,
+    out: &mut [T],
+    decode: impl Fn([u8; N]) -> T,
+) {
+    for (value, bytes) in out.iter_mut().zip(state.z(r).chunks_exact(N)) {
+        *value = decode(bytes.try_into().expect("N-byte lane"));
+    }
+}
+
+/// Set element (`r`, `c`) of tile `tile` (`N`-byte elements of type
+/// `elem`) to `update(element, &a[r], &b[c])` for every row `r` active in
+/// `pn` and column `c` active in `pm`, one ZA row at a time. Nothing is
+/// touched, and the tile index not checked, unless some row and some
+/// column are active.
+fn outer_product<const N: usize, A, B>(
+    state: &mut CoreState,
+    tile: u8,
+    elem: ElementType,
+    (pn, pm): (PReg, PReg),
+    (a, b): (&[A], &[B]),
+    update: impl Fn([u8; N], &A, &B) -> [u8; N],
+) {
+    let dim = tile_dim(state, elem);
+    let rows = active_lanes(state, pn, elem);
+    let cols = active_lanes(state, pm, elem);
+    if !rows[..dim].contains(&true) || !cols[..dim].contains(&true) {
+        return;
+    }
+    for ((row, a), _) in state
+        .za_tile_rows_mut(tile, elem)
+        .zip(a)
+        .zip(rows)
+        .filter(|&(_, on)| on)
+    {
+        // Every cell of the row is computed and an inactive column keeps its
+        // old value: a select rather than a branch, which vectorizes.
+        let (cells, _) = row.as_chunks_mut::<N>();
+        for ((cell, &on), b) in cells.iter_mut().zip(&cols).zip(b) {
+            let new = update(*cell, a, b);
+            *cell = if on { new } else { *cell };
+        }
+    }
 }
 
 /// Execute one SME instruction.
@@ -67,38 +122,18 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SmeInst) {
             zm,
         } => match elem {
             ElementType::F64 => {
-                let dim = tile_dim(state, ElementType::F64);
-                for r in 0..dim {
-                    if !state.p_lane(pn, ElementType::F64, r) {
-                        continue;
-                    }
-                    let a = z_f64_lane(state, zn, r);
-                    for c in 0..dim {
-                        if !state.p_lane(pm, ElementType::F64, c) {
-                            continue;
-                        }
-                        let b = z_f64_lane(state, zm, c);
-                        let cur = state.za_f64(tile, r, c);
-                        state.set_za_f64(tile, r, c, cur + a * b);
-                    }
-                }
+                let (mut a, mut b) = ([0f64; MAX_TILE_DIM / 2], [0f64; MAX_TILE_DIM / 2]);
+                decode_lanes(state, zn, &mut a, f64::from_le_bytes);
+                decode_lanes(state, zm, &mut b, f64::from_le_bytes);
+                let fma = |cur, a: &f64, b: &f64| (f64::from_le_bytes(cur) + a * b).to_le_bytes();
+                outer_product(state, tile, elem, (pn, pm), (&a, &b), fma);
             }
             _ => {
-                let dim = tile_dim(state, ElementType::F32);
-                for r in 0..dim {
-                    if !state.p_lane(pn, ElementType::F32, r) {
-                        continue;
-                    }
-                    let a = z_f32_lane(state, zn, r);
-                    for c in 0..dim {
-                        if !state.p_lane(pm, ElementType::F32, c) {
-                            continue;
-                        }
-                        let b = z_f32_lane(state, zm, c);
-                        let cur = state.za_f32(tile, r, c);
-                        state.set_za_f32(tile, r, c, cur + a * b);
-                    }
-                }
+                let (mut a, mut b) = ([0f32; MAX_TILE_DIM], [0f32; MAX_TILE_DIM]);
+                decode_lanes(state, zn, &mut a, f32::from_le_bytes);
+                decode_lanes(state, zm, &mut b, f32::from_le_bytes);
+                let fma = |cur, a: &f32, b: &f32| (f32::from_le_bytes(cur) + a * b).to_le_bytes();
+                outer_product(state, tile, ElementType::F32, (pn, pm), (&a, &b), fma);
             }
         },
         SmeInst::FmopaWide {
@@ -111,31 +146,25 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SmeInst) {
         } => {
             // Widening 2-way sum of outer products into an FP32 tile:
             // ZA[r][c] += sum_i a[2r+i] * b[2c+i].
-            let dim = tile_dim(state, ElementType::F32);
-            let convert = |bits: u16| -> f32 {
-                if from == ElementType::BF16 {
-                    bf16_to_f32(bits)
-                } else {
-                    f16_to_f32(bits)
-                }
+            let convert = if from == ElementType::BF16 {
+                bf16_to_f32
+            } else {
+                f16_to_f32
             };
-            for r in 0..dim {
-                if !state.p_lane(pn, ElementType::F32, r) {
-                    continue;
+            let halves = |[l0, l1, h0, h1]: [u8; 4]| {
+                [u16::from_le_bytes([l0, l1]), u16::from_le_bytes([h0, h1])].map(convert)
+            };
+            let (mut a, mut b) = ([[0f32; 2]; MAX_TILE_DIM], [[0f32; 2]; MAX_TILE_DIM]);
+            decode_lanes(state, zn, &mut a, halves);
+            decode_lanes(state, zm, &mut b, halves);
+            let dot2 = |cur, a: &[f32; 2], b: &[f32; 2]| {
+                let mut acc = f32::from_le_bytes(cur);
+                for i in 0..2 {
+                    acc += a[i] * b[i];
                 }
-                for c in 0..dim {
-                    if !state.p_lane(pm, ElementType::F32, c) {
-                        continue;
-                    }
-                    let mut acc = state.za_f32(tile, r, c);
-                    for i in 0..2 {
-                        let a = convert(z_u16_lane(state, zn, 2 * r + i));
-                        let b = convert(z_u16_lane(state, zm, 2 * c + i));
-                        acc += a * b;
-                    }
-                    state.set_za_f32(tile, r, c, acc);
-                }
-            }
+                acc.to_le_bytes()
+            };
+            outer_product(state, tile, ElementType::F32, (pn, pm), (&a, &b), dot2);
         }
         SmeInst::Smopa {
             tile,
@@ -145,33 +174,30 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SmeInst) {
             zn,
             zm,
         } => {
-            let dim = tile_dim(state, ElementType::I32);
-            let way = if from == ElementType::I8 { 4 } else { 2 };
-            for r in 0..dim {
-                if !state.p_lane(pn, ElementType::I32, r) {
-                    continue;
+            // Integer 4-way (I8) or 2-way (I16) sum of outer products into
+            // an I32 tile.
+            fn dot<const W: usize>(cur: [u8; 4], a: &[i32; W], b: &[i32; W]) -> [u8; 4] {
+                let mut acc = i32::from_le_bytes(cur);
+                for i in 0..W {
+                    acc = acc.wrapping_add(a[i].wrapping_mul(b[i]));
                 }
-                for c in 0..dim {
-                    if !state.p_lane(pm, ElementType::I32, c) {
-                        continue;
-                    }
-                    let mut acc = state.za_i32(tile, r, c);
-                    for i in 0..way {
-                        let (a, b) = if from == ElementType::I8 {
-                            (
-                                z_i8_lane(state, zn, way * r + i) as i32,
-                                z_i8_lane(state, zm, way * c + i) as i32,
-                            )
-                        } else {
-                            (
-                                z_i16_lane(state, zn, way * r + i) as i32,
-                                z_i16_lane(state, zm, way * c + i) as i32,
-                            )
-                        };
-                        acc = acc.wrapping_add(a.wrapping_mul(b));
-                    }
-                    state.set_za_i32(tile, r, c, acc);
-                }
+                acc.to_le_bytes()
+            }
+            let preds = (pn, pm);
+            if from == ElementType::I8 {
+                let quad = |bytes: [u8; 4]| bytes.map(|v| v as i8 as i32);
+                let (mut a, mut b) = ([[0i32; 4]; MAX_TILE_DIM], [[0i32; 4]; MAX_TILE_DIM]);
+                decode_lanes(state, zn, &mut a, quad);
+                decode_lanes(state, zm, &mut b, quad);
+                outer_product(state, tile, ElementType::I32, preds, (&a, &b), dot::<4>);
+            } else {
+                let halves = |[l0, l1, h0, h1]: [u8; 4]| {
+                    [i16::from_le_bytes([l0, l1]), i16::from_le_bytes([h0, h1])].map(i32::from)
+                };
+                let (mut a, mut b) = ([[0i32; 2]; MAX_TILE_DIM], [[0i32; 2]; MAX_TILE_DIM]);
+                decode_lanes(state, zn, &mut a, halves);
+                decode_lanes(state, zm, &mut b, halves);
+                outer_product(state, tile, ElementType::I32, preds, (&a, &b), dot::<2>);
             }
         }
         SmeInst::MovaToTile {
@@ -185,21 +211,22 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SmeInst) {
             let esz = tile.elem.bytes() as usize;
             let dim = tile_dim(state, tile.elem);
             let base_slice = (state.x(rs) as usize + offset as usize) % dim;
+            let mut buffer = [0u8; MAX_VL_BYTES];
+            let data = &mut buffer[..state.vl_bytes()];
             for k in 0..count as usize {
                 let slice = (base_slice + k) % dim;
-                let data = state.z(zt.offset(k as u8)).to_vec();
+                data.copy_from_slice(state.z(zt.offset(k as u8)));
                 match dir {
                     TileSliceDir::Horizontal => {
-                        let vec_idx = state.za_tile_row_vector(tile.index, tile.elem, slice);
-                        state.set_za_vector(vec_idx, &data);
+                        let vector = state.za_tile_row_vector(tile.index, tile.elem, slice);
+                        state.set_za_vector(vector, data);
                     }
                     TileSliceDir::Vertical => {
-                        for r in 0..dim {
-                            let off = state.za_elem_offset(tile.index, tile.elem, r, slice);
-                            // Element r of the source vector becomes tile
-                            // element (r, slice).
-                            let src = data[r * esz..r * esz + esz].to_vec();
-                            state.set_za_bytes(off, &src);
+                        // Element r of the source vector becomes tile
+                        // element (r, slice).
+                        let rows = state.za_tile_rows_mut(tile.index, tile.elem);
+                        for (row, src) in rows.zip(data.chunks_exact(esz)) {
+                            row[slice * esz..][..esz].copy_from_slice(src);
                         }
                     }
                 }
@@ -216,36 +243,34 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SmeInst) {
             let esz = tile.elem.bytes() as usize;
             let dim = tile_dim(state, tile.elem);
             let base_slice = (state.x(rs) as usize + offset as usize) % dim;
+            let mut buffer = [0u8; MAX_VL_BYTES];
+            let data = &mut buffer[..state.vl_bytes()];
             for k in 0..count as usize {
                 let slice = (base_slice + k) % dim;
-                let mut data = vec![0u8; state.vl_bytes()];
                 match dir {
                     TileSliceDir::Horizontal => {
-                        let vec_idx = state.za_tile_row_vector(tile.index, tile.elem, slice);
-                        data.copy_from_slice(state.za_vector(vec_idx));
+                        let vector = state.za_tile_row_vector(tile.index, tile.elem, slice);
+                        data.copy_from_slice(state.za_vector(vector));
                     }
                     TileSliceDir::Vertical => {
-                        for r in 0..dim {
-                            let off = state.za_elem_offset(tile.index, tile.elem, r, slice);
-                            data[r * esz..r * esz + esz]
-                                .copy_from_slice(&state.za()[off..off + esz]);
+                        let rows = state.za_tile_rows(tile.index, tile.elem);
+                        for (row, dst) in rows.zip(data.chunks_exact_mut(esz)) {
+                            dst.copy_from_slice(&row[slice * esz..][..esz]);
                         }
                     }
                 }
-                state.set_z(zt.offset(k as u8), &data);
+                state.set_z(zt.offset(k as u8), data);
             }
         }
         SmeInst::LdrZa { rs, offset, rn } => {
             let idx = za_vector_index(state, rs, offset);
             let addr = state.x(rn) + offset as u64 * state.vl_bytes() as u64;
-            let bytes = mem.read_bytes(addr, state.vl_bytes()).to_vec();
-            state.set_za_vector(idx, &bytes);
+            state.set_za_vector(idx, mem.read_bytes(addr, state.vl_bytes()));
         }
         SmeInst::StrZa { rs, offset, rn } => {
             let idx = za_vector_index(state, rs, offset);
             let addr = state.x(rn) + offset as u64 * state.vl_bytes() as u64;
-            let bytes = state.za_vector(idx).to_vec();
-            mem.write_bytes(addr, &bytes);
+            mem.write_bytes(addr, state.za_vector(idx));
         }
         SmeInst::ZeroZa { mask } => {
             for d in 0..8u8 {
@@ -315,6 +340,28 @@ mod tests {
     use sme_isa::regs::ZaTile;
     use sme_isa::types::StreamingVectorLength;
 
+    /// Element (`row`, `col`) of tile `tile` holding `N`-byte elements of
+    /// type `elem`.
+    fn za_elem<const N: usize>(
+        s: &CoreState,
+        tile: u8,
+        elem: ElementType,
+        row: usize,
+        col: usize,
+    ) -> [u8; N] {
+        let vector = s.za_tile_row_vector(tile, elem, row);
+        s.za_vector(vector)[col * N..][..N].try_into().unwrap()
+    }
+
+    fn za_f32(s: &CoreState, tile: u8, row: usize, col: usize) -> f32 {
+        f32::from_le_bytes(za_elem(s, tile, ElementType::F32, row, col))
+    }
+
+    fn set_za_f32(s: &mut CoreState, tile: u8, row: usize, col: usize, value: f32) {
+        let vector = s.za_tile_row_vector(tile, ElementType::F32, row);
+        s.za_vector_mut(vector)[col * 4..][..4].copy_from_slice(&value.to_le_bytes());
+    }
+
     fn setup() -> (CoreState, Memory) {
         let mut s = CoreState::new(StreamingVectorLength::M4);
         p_all(&mut s, &[p(0), p(1)]);
@@ -346,7 +393,7 @@ mod tests {
         );
         for (r, &av) in a.iter().enumerate() {
             for (c, &bv) in b.iter().enumerate() {
-                assert_eq!(s.za_f32(2, r, c), av * bv, "({r},{c})");
+                assert_eq!(za_f32(&s, 2, r, c), av * bv, "({r},{c})");
             }
         }
         // Accumulation: running it again doubles every element.
@@ -355,7 +402,7 @@ mod tests {
             &mut m,
             &SmeInst::fmopa_f32(2, p(0), p(1), z(0), z(1)),
         );
-        assert_eq!(s.za_f32(2, 3, 5), 2.0 * a[3] * b[5]);
+        assert_eq!(za_f32(&s, 2, 3, 5), 2.0 * a[3] * b[5]);
     }
 
     #[test]
@@ -370,9 +417,9 @@ mod tests {
             &mut m,
             &SmeInst::fmopa_f32(0, p(2), p(3), z(0), z(1)),
         );
-        assert_eq!(s.za_f32(0, 2, 1), 1.0);
-        assert_eq!(s.za_f32(0, 3, 1), 0.0, "masked row");
-        assert_eq!(s.za_f32(0, 2, 2), 0.0, "masked column");
+        assert_eq!(za_f32(&s, 0, 2, 1), 1.0);
+        assert_eq!(za_f32(&s, 0, 3, 1), 0.0, "masked row");
+        assert_eq!(za_f32(&s, 0, 2, 2), 0.0, "masked column");
     }
 
     #[test]
@@ -387,7 +434,10 @@ mod tests {
             &mut m,
             &SmeInst::fmopa_f64(7, p(0), p(1), z(4), z(5)),
         );
-        assert_eq!(s.za_f64(7, 2, 3), 3.0 * 6.0);
+        assert_eq!(
+            f64::from_le_bytes(za_elem(&s, 7, ElementType::F64, 2, 3)),
+            3.0 * 6.0
+        );
     }
 
     #[test]
@@ -406,7 +456,7 @@ mod tests {
         s.set_z(z(1), &zm_bytes);
         exec(&mut s, &mut m, &SmeInst::bfmopa(1, p(0), p(1), z(0), z(1)));
         // Each element: sum over 2-way dot of 1.0 * 2.0 = 4.0.
-        assert_eq!(s.za_f32(1, 5, 9), 4.0);
+        assert_eq!(za_f32(&s, 1, 5, 9), 4.0);
     }
 
     #[test]
@@ -424,7 +474,10 @@ mod tests {
         // Row r uses a[4r..4r+4]; column c uses b[4c..4c+4] = all 2.
         let r = 3usize;
         let expected: i32 = (0..4).map(|i| ((4 * r + i) % 5) as i32 * 2).sum();
-        assert_eq!(s.za_i32(0, r, 7), expected);
+        assert_eq!(
+            i32::from_le_bytes(za_elem(&s, 0, ElementType::I32, r, 7)),
+            expected
+        );
     }
 
     #[test]
@@ -529,8 +582,8 @@ mod tests {
     #[test]
     fn zero_za_mask() {
         let (mut s, mut m) = setup();
-        s.set_za_f32(0, 3, 3, 7.0);
-        s.set_za_f32(1, 3, 3, 8.0);
+        set_za_f32(&mut s, 0, 3, 3, 7.0);
+        set_za_f32(&mut s, 1, 3, 3, 8.0);
         // Zero only za0.s (granules 0 and 4).
         exec(
             &mut s,
@@ -539,8 +592,8 @@ mod tests {
                 mask: SmeInst::zero_mask_for_s_tiles(&[0]),
             },
         );
-        assert_eq!(s.za_f32(0, 3, 3), 0.0);
-        assert_eq!(s.za_f32(1, 3, 3), 8.0);
+        assert_eq!(za_f32(&s, 0, 3, 3), 0.0);
+        assert_eq!(za_f32(&s, 1, 3, 3), 8.0);
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! Functional semantics of the SVE / Streaming SVE instructions.
+//!
+//! A load or store whose predicate (or counter) leaves every lane active
+//! moves its whole contiguous range with one bounds-checked memory access;
+//! only masked accesses go lane by lane, touching just the active lanes.
 
+use crate::exec::MAX_VL_BYTES;
 use crate::mem::Memory;
 use crate::state::CoreState;
 use sme_isa::inst::sve::SveInst;
@@ -15,6 +20,15 @@ fn vl_offset_addr(state: &CoreState, rn: XReg, imm_vl: i64, unit_bytes: i64) -> 
     (state.x(rn) as i64 + imm_vl * unit_bytes) as u64
 }
 
+/// Whether predicate `pg` (none: unpredicated) leaves every lane of width
+/// `elem` active.
+fn all_active(state: &CoreState, pg: Option<PReg>, elem: ElementType) -> bool {
+    pg.is_none_or(|p| {
+        let step = elem.bytes() as usize;
+        state.p(p).iter().step_by(step).all(|&on| on)
+    })
+}
+
 fn load_vector(
     state: &mut CoreState,
     mem: &Memory,
@@ -23,17 +37,20 @@ fn load_vector(
     elem: ElementType,
     addr: u64,
 ) {
+    let vl = state.vl_bytes();
+    if all_active(state, pg, elem) {
+        state.set_z(zt, mem.read_bytes(addr, vl));
+        return;
+    }
+    // Inactive lanes read as zero.
     let eb = elem.bytes() as usize;
-    let lanes = effective_lanes(state, elem);
-    let mut bytes = vec![0u8; state.vl_bytes()];
-    for lane in 0..lanes {
-        let active = pg.is_none_or(|p| state.p_lane(p, elem, lane));
-        if active {
-            let src = mem.read_bytes(addr + (lane * eb) as u64, eb);
-            bytes[lane * eb..lane * eb + eb].copy_from_slice(src);
+    let mut bytes = [0u8; MAX_VL_BYTES];
+    for (lane, dst) in bytes[..vl].chunks_exact_mut(eb).enumerate() {
+        if pg.is_none_or(|p| state.p_lane(p, elem, lane)) {
+            dst.copy_from_slice(mem.read_bytes(addr + (lane * eb) as u64, eb));
         }
     }
-    state.set_z(zt, &bytes);
+    state.set_z(zt, &bytes[..vl]);
 }
 
 fn store_vector(
@@ -44,13 +61,14 @@ fn store_vector(
     elem: ElementType,
     addr: u64,
 ) {
+    if all_active(state, pg, elem) {
+        mem.write_bytes(addr, state.z(zt));
+        return;
+    }
     let eb = elem.bytes() as usize;
-    let lanes = effective_lanes(state, elem);
-    let data = state.z(zt).to_vec();
-    for lane in 0..lanes {
-        let active = pg.is_none_or(|p| state.p_lane(p, elem, lane));
-        if active {
-            mem.write_bytes(addr + (lane * eb) as u64, &data[lane * eb..lane * eb + eb]);
+    for (lane, src) in state.z(zt).chunks_exact(eb).enumerate() {
+        if pg.is_none_or(|p| state.p_lane(p, elem, lane)) {
+            mem.write_bytes(addr + (lane * eb) as u64, src);
         }
     }
 }
@@ -102,21 +120,23 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SveInst) {
             rn,
             imm_vl,
         } => {
-            let eb = elem.bytes() as usize;
-            let lanes = effective_lanes(state, elem);
-            let active = state.pn_count(pn).min((count as u64) * lanes as u64) as usize;
+            // The counter activates a prefix of the group's elements: read
+            // it in one access; the elements beyond it read as zero.
+            let active = multi_active_bytes(state, count, elem, pn);
             let base = vl_offset_addr(state, rn, imm_vl as i64, vl * count as i64);
+            let src = if active > 0 {
+                mem.read_bytes(base, active)
+            } else {
+                &[]
+            };
+            let vl = vl as usize;
+            let mut bytes = [0u8; MAX_VL_BYTES];
             for k in 0..count {
-                let reg = zt.offset(k);
-                let mut bytes = vec![0u8; state.vl_bytes()];
-                for lane in 0..lanes {
-                    let global = k as usize * lanes + lane;
-                    if global < active {
-                        let src = mem.read_bytes(base + (global * eb) as u64, eb);
-                        bytes[lane * eb..lane * eb + eb].copy_from_slice(src);
-                    }
-                }
-                state.set_z(reg, &bytes);
+                let part = src.get(k as usize * vl..).unwrap_or(&[]);
+                let part = &part[..part.len().min(vl)];
+                bytes[..part.len()].copy_from_slice(part);
+                bytes[part.len()..vl].fill(0);
+                state.set_z(zt.offset(k), &bytes[..vl]);
             }
         }
         SveInst::St1Multi {
@@ -127,20 +147,14 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SveInst) {
             rn,
             imm_vl,
         } => {
-            let eb = elem.bytes() as usize;
-            let lanes = effective_lanes(state, elem);
-            let active = state.pn_count(pn).min((count as u64) * lanes as u64) as usize;
+            let active = multi_active_bytes(state, count, elem, pn);
             let base = vl_offset_addr(state, rn, imm_vl as i64, vl * count as i64);
-            for k in 0..count {
-                let data = state.z(zt.offset(k)).to_vec();
-                for lane in 0..lanes {
-                    let global = k as usize * lanes + lane;
-                    if global < active {
-                        mem.write_bytes(
-                            base + (global * eb) as u64,
-                            &data[lane * eb..lane * eb + eb],
-                        );
-                    }
+            let vl = vl as usize;
+            for k in 0..count as usize {
+                let len = active.saturating_sub(k * vl).min(vl);
+                if len > 0 {
+                    let data = &state.z(zt.offset(k as u8))[..len];
+                    mem.write_bytes(base + (k * vl) as u64, data);
                 }
             }
         }
@@ -197,6 +211,19 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SveInst) {
             state.set_x(rd, value);
         }
     }
+}
+
+/// Bytes a multi-vector access of `count` registers moves: the elements
+/// the counter in `pn` activates, at most the whole group.
+fn multi_active_bytes(
+    state: &CoreState,
+    count: u8,
+    elem: ElementType,
+    pn: sme_isa::regs::PnReg,
+) -> usize {
+    let lanes = effective_lanes(state, elem);
+    let active = state.pn_count(pn).min((count as u64) * lanes as u64) as usize;
+    active * elem.bytes() as usize
 }
 
 #[cfg(test)]

@@ -139,6 +139,12 @@ impl CoreState {
         self.z[r.index() as usize].copy_from_slice(bytes);
     }
 
+    /// Mutable access to a scalable vector register's bytes, for
+    /// instructions that update it in place.
+    pub fn z_mut(&mut self, r: ZReg) -> &mut [u8] {
+        &mut self.z[r.index() as usize]
+    }
+
     /// Read a scalable vector register as `f32` lanes.
     pub fn z_f32(&self, r: ZReg) -> Vec<f32> {
         self.z(r)
@@ -154,11 +160,9 @@ impl CoreState {
             self.vl_bytes(),
             "Z register f32 write length mismatch"
         );
-        let mut bytes = Vec::with_capacity(self.vl_bytes());
-        for v in lanes {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        for (dst, v) in self.z_mut(r).chunks_exact_mut(4).zip(lanes) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
-        self.set_z(r, &bytes);
     }
 
     /// Read a scalable vector register as `f64` lanes.
@@ -176,11 +180,9 @@ impl CoreState {
             self.vl_bytes(),
             "Z register f64 write length mismatch"
         );
-        let mut bytes = Vec::with_capacity(self.vl_bytes());
-        for v in lanes {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        for (dst, v) in self.z_mut(r).chunks_exact_mut(8).zip(lanes) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
-        self.set_z(r, &bytes);
     }
 
     // ---- predicate registers ---------------------------------------------
@@ -246,12 +248,6 @@ impl CoreState {
         &self.za
     }
 
-    /// Overwrite `bytes.len()` bytes of the ZA array starting at byte
-    /// `offset` (used by tile-slice moves of arbitrary element width).
-    pub fn set_za_bytes(&mut self, offset: usize, bytes: &[u8]) {
-        self.za[offset..offset + bytes.len()].copy_from_slice(bytes);
-    }
-
     /// Zero the entire ZA array.
     pub fn zero_za(&mut self) {
         self.za.fill(0);
@@ -279,9 +275,18 @@ impl CoreState {
     /// Write one ZA array vector.
     pub fn set_za_vector(&mut self, index: usize, bytes: &[u8]) {
         let vl = self.vl_bytes();
-        assert!(index < vl, "ZA array vector index {index} out of range");
+        let vector = self.za_vector_mut(index);
         assert_eq!(bytes.len(), vl, "ZA array vector write length mismatch");
-        self.za[index * vl..(index + 1) * vl].copy_from_slice(bytes);
+        vector.copy_from_slice(bytes);
+    }
+
+    /// Mutable access to one ZA array vector, for instructions that update
+    /// it in place (a tile row is the array vector
+    /// [`za_tile_row_vector`](Self::za_tile_row_vector) names).
+    pub fn za_vector_mut(&mut self, index: usize) -> &mut [u8] {
+        let vl = self.vl_bytes();
+        assert!(index < vl, "ZA array vector index {index} out of range");
+        &mut self.za[index * vl..(index + 1) * vl]
     }
 
     /// ZA array vector index holding horizontal slice `row` of tile
@@ -301,70 +306,45 @@ impl CoreState {
         row * esz + tile as usize
     }
 
-    /// Byte offset of element (`row`, `col`) of tile `tile` inside the ZA
-    /// array.
-    pub fn za_elem_offset(&self, tile: u8, elem: ElementType, row: usize, col: usize) -> usize {
-        let esz = elem.bytes() as usize;
-        let dim = self.vl_bytes() / esz;
-        assert!(col < dim, "tile column {col} out of range for {elem}");
-        let vec_idx = self.za_tile_row_vector(tile, elem, row);
-        vec_idx * self.vl_bytes() + col * esz
+    /// The rows of tile `tile` holding elements of type `elem`, top to
+    /// bottom: row `r` is array vector `r * esz + tile`, so the rows are
+    /// every `esz`-th vector from vector `tile` on.
+    ///
+    /// # Panics
+    /// Panics if `tile` is out of range for `elem`.
+    pub fn za_tile_rows(&self, tile: u8, elem: ElementType) -> impl Iterator<Item = &[u8]> {
+        let (vl, first) = (self.vl_bytes(), self.za_tile_row_vector(tile, elem, 0));
+        let stride = elem.bytes() as usize * vl;
+        self.za[first * vl..]
+            .chunks(stride)
+            .map(move |rows| &rows[..vl])
     }
 
-    /// Read an `f32` tile element.
-    pub fn za_f32(&self, tile: u8, row: usize, col: usize) -> f32 {
-        let off = self.za_elem_offset(tile, ElementType::F32, row, col);
-        f32::from_le_bytes([
-            self.za[off],
-            self.za[off + 1],
-            self.za[off + 2],
-            self.za[off + 3],
-        ])
-    }
-
-    /// Write an `f32` tile element.
-    pub fn set_za_f32(&mut self, tile: u8, row: usize, col: usize, value: f32) {
-        let off = self.za_elem_offset(tile, ElementType::F32, row, col);
-        self.za[off..off + 4].copy_from_slice(&value.to_le_bytes());
-    }
-
-    /// Read an `f64` tile element.
-    pub fn za_f64(&self, tile: u8, row: usize, col: usize) -> f64 {
-        let off = self.za_elem_offset(tile, ElementType::F64, row, col);
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.za[off..off + 8]);
-        f64::from_le_bytes(b)
-    }
-
-    /// Write an `f64` tile element.
-    pub fn set_za_f64(&mut self, tile: u8, row: usize, col: usize, value: f64) {
-        let off = self.za_elem_offset(tile, ElementType::F64, row, col);
-        self.za[off..off + 8].copy_from_slice(&value.to_le_bytes());
-    }
-
-    /// Read an `i32` tile element (integer outer products).
-    pub fn za_i32(&self, tile: u8, row: usize, col: usize) -> i32 {
-        let off = self.za_elem_offset(tile, ElementType::I32, row, col);
-        i32::from_le_bytes([
-            self.za[off],
-            self.za[off + 1],
-            self.za[off + 2],
-            self.za[off + 3],
-        ])
-    }
-
-    /// Write an `i32` tile element.
-    pub fn set_za_i32(&mut self, tile: u8, row: usize, col: usize, value: i32) {
-        let off = self.za_elem_offset(tile, ElementType::I32, row, col);
-        self.za[off..off + 4].copy_from_slice(&value.to_le_bytes());
+    /// Mutable form of [`za_tile_rows`](Self::za_tile_rows).
+    ///
+    /// # Panics
+    /// Panics if `tile` is out of range for `elem`.
+    pub fn za_tile_rows_mut(
+        &mut self,
+        tile: u8,
+        elem: ElementType,
+    ) -> impl Iterator<Item = &mut [u8]> {
+        let (vl, first) = (self.vl_bytes(), self.za_tile_row_vector(tile, elem, 0));
+        let stride = elem.bytes() as usize * vl;
+        self.za[first * vl..]
+            .chunks_mut(stride)
+            .map(move |rows| &mut rows[..vl])
     }
 
     /// Extract a whole `f32` tile as a row-major `dim × dim` matrix
     /// (convenience for tests).
     pub fn za_tile_f32(&self, tile: u8) -> Vec<Vec<f32>> {
-        let dim = ElementType::F32.tile_dim(self.svl);
-        (0..dim)
-            .map(|r| (0..dim).map(|c| self.za_f32(tile, r, c)).collect())
+        self.za_tile_rows(tile, ElementType::F32)
+            .map(|row| {
+                row.chunks_exact(4)
+                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                    .collect()
+            })
             .collect()
     }
 }
@@ -439,21 +419,37 @@ mod tests {
         // ZA7.D slices are vectors 7, 15, ..., 63.
         assert_eq!(s.za_tile_row_vector(7, ElementType::F64, 0), 7);
         assert_eq!(s.za_tile_row_vector(7, ElementType::F64, 7), 63);
+        // The row iterators walk the same vectors.
+        let za = s.za().as_ptr();
+        let starts: Vec<usize> = s
+            .za_tile_rows(3, ElementType::F32)
+            .map(|row| (row.as_ptr() as usize - za as usize) / 64)
+            .collect();
+        assert_eq!(starts, (0..16).map(|r| r * 4 + 3).collect::<Vec<_>>());
+        let mut s = state();
+        assert_eq!(s.za_tile_rows_mut(7, ElementType::F64).count(), 8);
+        assert!(s
+            .za_tile_rows_mut(7, ElementType::F64)
+            .all(|row| row.len() == 64));
     }
 
     #[test]
     fn za_element_accessors() {
         let mut s = state();
-        s.set_za_f32(2, 3, 5, 42.5);
-        assert_eq!(s.za_f32(2, 3, 5), 42.5);
-        assert_eq!(s.za_f32(2, 5, 3), 0.0);
-        s.set_za_f64(6, 7, 1, -1.25);
-        assert_eq!(s.za_f64(6, 7, 1), -1.25);
-        s.set_za_i32(1, 0, 15, -77);
-        assert_eq!(s.za_i32(1, 0, 15), -77);
+        // Element (3, 5) of za2.s is bytes 20..24 of array vector 3 * 4 + 2.
+        let row = s.za_tile_row_vector(2, ElementType::F32, 3);
+        s.za_vector_mut(row)[5 * 4..6 * 4].copy_from_slice(&42.5f32.to_le_bytes());
+        assert_eq!(&s.za()[14 * 64 + 20..14 * 64 + 24], &42.5f32.to_le_bytes());
         let tile = s.za_tile_f32(2);
         assert_eq!(tile.len(), 16);
         assert_eq!(tile[3][5], 42.5);
+        assert_eq!(tile[5][3], 0.0);
+        // Element (7, 1) of za6.d is bytes 8..16 of array vector 7 * 8 + 6.
+        let row = s.za_tile_row_vector(6, ElementType::F64, 7);
+        s.za_vector_mut(row)[8..16].copy_from_slice(&(-1.25f64).to_le_bytes());
+        assert_eq!(&s.za_vector(62)[8..16], &(-1.25f64).to_le_bytes());
+        s.set_za_vector(1, &[0xCD; 64]);
+        assert_eq!(s.za_vector(1), &[0xCD; 64]);
     }
 
     #[test]

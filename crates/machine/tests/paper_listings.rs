@@ -71,7 +71,7 @@ fn listing_two_fmopa_loop() {
     assert_eq!(result.return_value, 32 * 512);
     // Each tile receives 8 outer products per iteration: 4 * 8 * (1 * 0.5).
     for tile in 0..4u8 {
-        assert_eq!(sim.state.za_f32(tile, 7, 11), 16.0, "tile {tile}");
+        assert_eq!(sim.state.za_tile_f32(tile)[7][11], 16.0, "tile {tile}");
     }
 }
 
@@ -102,7 +102,7 @@ fn listing_three_two_step_load() {
     for slice in 0..4 {
         for lane in 0..16 {
             assert_eq!(
-                sim.state.za_f32(0, slice, lane),
+                sim.state.za_tile_f32(0)[slice][lane],
                 (slice * 16 + lane) as f32,
                 "slice {slice} lane {lane}"
             );

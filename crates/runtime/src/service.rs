@@ -370,6 +370,10 @@ impl GemmService {
                     let mut stats = ExecStats::default();
                     let mut outputs = Vec::with_capacity(indices.len());
                     let mut pack_hits = 0usize;
+                    // Host time inside the simulator, for the group span's
+                    // speed gauge; a detached dispatch reads no clock.
+                    let gauge = self.cache.obs().is_some();
+                    let mut sim_time = std::time::Duration::ZERO;
                     for &index in indices {
                         let seed = requests[index].seed;
                         // Packed A/B images replay from the operand cache;
@@ -380,10 +384,15 @@ impl GemmService {
                         // Functional-only execution plus the kernel's
                         // memoized timing, merged once per request so the
                         // sums are those of per-request full runs.
+                        let served = gauge.then(std::time::Instant::now);
                         stats.merge(kernel.serve(&mut sim, bufs));
+                        if let Some(served) = served {
+                            sim_time += served.elapsed();
+                        }
                         outputs.push((index, sim.mem.read_f32_slice(bufs.c, config.c_len())));
                     }
                     if let Some(hub) = self.cache.obs() {
+                        let sim_us = (sim_time.as_secs_f64() * 1e6).max(1e-3);
                         let span_ctx = group_ctx.unwrap_or_else(|| hub.trace.root_ctx());
                         hub.metrics.histogram("sme_group_cycles").record_exemplar(
                             stats.cycles,
@@ -422,6 +431,14 @@ impl GemmService {
                                 (
                                     "pack_hits".to_string(),
                                     serde::json::Value::Number(pack_hits as f64),
+                                ),
+                                (
+                                    "sim_insts".to_string(),
+                                    serde::json::Value::Number(stats.instructions as f64),
+                                ),
+                                (
+                                    "sim_insts_per_host_us".to_string(),
+                                    serde::json::Value::Number(stats.instructions as f64 / sim_us),
                                 ),
                             ],
                         );

@@ -43,7 +43,7 @@ fn dispatch_produces_a_connected_cross_thread_span_graph() {
     let hub = ObsHub::shared(4096);
     router.attach_obs(hub.clone());
     let requests = mixed_batch();
-    router.dispatch(&requests).expect("valid batch");
+    let report = router.dispatch(&requests).expect("valid batch");
 
     let spans = hub.trace.snapshot();
     assert!(!spans.is_empty(), "dispatch recorded spans");
@@ -79,6 +79,39 @@ fn dispatch_produces_a_connected_cross_thread_span_graph() {
         groups.iter().any(|g| g.tid != root.tid),
         "at least one group executed on a different thread than the root"
     );
+
+    // Each group span carries the simulator-speed gauge: the simulated
+    // instructions its group executed, as its report counts them, and a
+    // positive rate per host microsecond.
+    for group in &groups {
+        let arg = |key: &str| {
+            let found = group.args.iter().find(|(k, _)| k == key);
+            &found.unwrap_or_else(|| panic!("group span lacks {key}")).1
+        };
+        let matching = report
+            .batch
+            .per_config
+            .iter()
+            .find(|c| {
+                let config = c.config;
+                let label = format!(
+                    "{} {}x{}x{}",
+                    config.dtype(),
+                    config.m(),
+                    config.n(),
+                    config.k()
+                );
+                arg("config").as_str() == Some(label.as_str())
+                    && arg("backend").as_str() == Some(c.backend.name())
+            })
+            .expect("every group span has a report entry");
+        assert_eq!(
+            arg("sim_insts").as_f64(),
+            Some(matching.stats.instructions as f64)
+        );
+        let rate = arg("sim_insts_per_host_us").as_f64().expect("a number");
+        assert!(rate > 0.0 && rate.is_finite(), "simulator speed {rate}");
+    }
 
     // Cold compiles are children of the span that caused them — a group
     // execution or the placement cost probe — never orphan roots.

@@ -358,8 +358,8 @@ mod tests {
     }
 
     fn set_za_f32(s: &mut CoreState, tile: u8, row: usize, col: usize, value: f32) {
-        let vector = s.za_tile_row_vector(tile, ElementType::F32, row);
-        s.za_vector_mut(vector)[col * 4..][..4].copy_from_slice(&value.to_le_bytes());
+        let mut rows = s.za_tile_rows_mut(tile, ElementType::F32);
+        rows.nth(row).unwrap()[col * 4..][..4].copy_from_slice(&value.to_le_bytes());
     }
 
     fn setup() -> (CoreState, Memory) {

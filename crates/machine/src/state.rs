@@ -139,12 +139,6 @@ impl CoreState {
         self.z[r.index() as usize].copy_from_slice(bytes);
     }
 
-    /// Mutable access to a scalable vector register's bytes, for
-    /// instructions that update it in place.
-    pub fn z_mut(&mut self, r: ZReg) -> &mut [u8] {
-        &mut self.z[r.index() as usize]
-    }
-
     /// Read a scalable vector register as `f32` lanes.
     pub fn z_f32(&self, r: ZReg) -> Vec<f32> {
         self.z(r)
@@ -160,7 +154,7 @@ impl CoreState {
             self.vl_bytes(),
             "Z register f32 write length mismatch"
         );
-        for (dst, v) in self.z_mut(r).chunks_exact_mut(4).zip(lanes) {
+        for (dst, v) in self.z[r.index() as usize].chunks_exact_mut(4).zip(lanes) {
             dst.copy_from_slice(&v.to_le_bytes());
         }
     }
@@ -180,7 +174,7 @@ impl CoreState {
             self.vl_bytes(),
             "Z register f64 write length mismatch"
         );
-        for (dst, v) in self.z_mut(r).chunks_exact_mut(8).zip(lanes) {
+        for (dst, v) in self.z[r.index() as usize].chunks_exact_mut(8).zip(lanes) {
             dst.copy_from_slice(&v.to_le_bytes());
         }
     }
@@ -275,18 +269,9 @@ impl CoreState {
     /// Write one ZA array vector.
     pub fn set_za_vector(&mut self, index: usize, bytes: &[u8]) {
         let vl = self.vl_bytes();
-        let vector = self.za_vector_mut(index);
-        assert_eq!(bytes.len(), vl, "ZA array vector write length mismatch");
-        vector.copy_from_slice(bytes);
-    }
-
-    /// Mutable access to one ZA array vector, for instructions that update
-    /// it in place (a tile row is the array vector
-    /// [`za_tile_row_vector`](Self::za_tile_row_vector) names).
-    pub fn za_vector_mut(&mut self, index: usize) -> &mut [u8] {
-        let vl = self.vl_bytes();
         assert!(index < vl, "ZA array vector index {index} out of range");
-        &mut self.za[index * vl..(index + 1) * vl]
+        assert_eq!(bytes.len(), vl, "ZA array vector write length mismatch");
+        self.za[index * vl..(index + 1) * vl].copy_from_slice(bytes);
     }
 
     /// ZA array vector index holding horizontal slice `row` of tile
@@ -437,17 +422,21 @@ mod tests {
     fn za_element_accessors() {
         let mut s = state();
         // Element (3, 5) of za2.s is bytes 20..24 of array vector 3 * 4 + 2.
-        let row = s.za_tile_row_vector(2, ElementType::F32, 3);
-        s.za_vector_mut(row)[5 * 4..6 * 4].copy_from_slice(&42.5f32.to_le_bytes());
-        assert_eq!(&s.za()[14 * 64 + 20..14 * 64 + 24], &42.5f32.to_le_bytes());
+        let row = s.za_tile_rows_mut(2, ElementType::F32).nth(3).unwrap();
+        row[5 * 4..6 * 4].copy_from_slice(&42.5f32.to_le_bytes());
+        assert_eq!(&s.za_vector(14)[20..24], &42.5f32.to_le_bytes());
         let tile = s.za_tile_f32(2);
         assert_eq!(tile.len(), 16);
         assert_eq!(tile[3][5], 42.5);
         assert_eq!(tile[5][3], 0.0);
         // Element (7, 1) of za6.d is bytes 8..16 of array vector 7 * 8 + 6.
-        let row = s.za_tile_row_vector(6, ElementType::F64, 7);
-        s.za_vector_mut(row)[8..16].copy_from_slice(&(-1.25f64).to_le_bytes());
+        let row = s.za_tile_rows_mut(6, ElementType::F64).nth(7).unwrap();
+        row[8..16].copy_from_slice(&(-1.25f64).to_le_bytes());
         assert_eq!(&s.za_vector(62)[8..16], &(-1.25f64).to_le_bytes());
+        // Element (0, 15) of za1.s (as i32) is bytes 60..64 of vector 1.
+        let row = s.za_tile_rows_mut(1, ElementType::I32).next().unwrap();
+        row[60..64].copy_from_slice(&(-77i32).to_le_bytes());
+        assert_eq!(&s.za_vector(1)[60..64], &(-77i32).to_le_bytes());
         s.set_za_vector(1, &[0xCD; 64]);
         assert_eq!(s.za_vector(1), &[0xCD; 64]);
     }

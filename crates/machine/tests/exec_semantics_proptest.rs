@@ -456,9 +456,6 @@ fn out_of_range_za_vectors_panic() {
         panic_message(|| {
             state.za_vector(64);
         }),
-        panic_message(|| {
-            state.za_vector_mut(64);
-        }),
         panic_message(|| state.set_za_vector(64, &[0; 64])),
     ];
     for message in messages {

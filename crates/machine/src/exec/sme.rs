@@ -23,6 +23,8 @@ fn tile_dim(state: &CoreState, elem: ElementType) -> usize {
     state.vl_bytes() / elem.bytes() as usize
 }
 
+/// Read lane `i` of a Z register as `f32`, interpreting pairs of 16-bit
+/// inputs for the widening forms.
 fn z_f32_lane(state: &CoreState, r: ZReg, lane: usize) -> f32 {
     let bytes = state.z(r);
     f32::from_le_bytes(bytes[lane * 4..lane * 4 + 4].try_into().unwrap())
@@ -218,8 +220,8 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SmeInst) {
                 data.copy_from_slice(state.z(zt.offset(k as u8)));
                 match dir {
                     TileSliceDir::Horizontal => {
-                        let vector = state.za_tile_row_vector(tile.index, tile.elem, slice);
-                        state.set_za_vector(vector, data);
+                        let vec_idx = state.za_tile_row_vector(tile.index, tile.elem, slice);
+                        state.set_za_vector(vec_idx, data);
                     }
                     TileSliceDir::Vertical => {
                         // Element r of the source vector becomes tile
@@ -249,8 +251,8 @@ pub fn exec(state: &mut CoreState, mem: &mut Memory, inst: &SmeInst) {
                 let slice = (base_slice + k) % dim;
                 match dir {
                     TileSliceDir::Horizontal => {
-                        let vector = state.za_tile_row_vector(tile.index, tile.elem, slice);
-                        data.copy_from_slice(state.za_vector(vector));
+                        let vec_idx = state.za_tile_row_vector(tile.index, tile.elem, slice);
+                        data.copy_from_slice(state.za_vector(vec_idx));
                     }
                     TileSliceDir::Vertical => {
                         let rows = state.za_tile_rows(tile.index, tile.elem);

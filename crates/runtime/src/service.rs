@@ -392,6 +392,7 @@ impl GemmService {
                         outputs.push((index, sim.mem.read_f32_slice(bufs.c, config.c_len())));
                     }
                     if let Some(hub) = self.cache.obs() {
+                        // Floored at 1 ns so the rate stays finite.
                         let sim_us = (sim_time.as_secs_f64() * 1e6).max(1e-3);
                         let span_ctx = group_ctx.unwrap_or_else(|| hub.trace.root_ctx());
                         hub.metrics.histogram("sme_group_cycles").record_exemplar(
